@@ -2,15 +2,15 @@
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, k exceeding the
 vertex count), 3 for data problems (parse failures, degenerate meshes,
-disconnected components, rank failures). Given identical inputs and flags,
-every command writes byte-identical outputs.
+disconnected components, rank failures, eigensolver failures). Given
+identical inputs and flags, every command writes byte-identical outputs at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .evaluate import geodesic_error, write_error_report
 from .fmap import convert_adjoint, convert_feature_nn, solve_fmap
 from .mesh import load_correspondence, load_mesh, save_correspondence, _meaningful_lines
 from .refine import refine_proper
-from .spectral import build_laplacian, eigenbasis, smooth_features
+from .spectral import build_laplacian, eigenbasis, smooth_features, _smoothing_size
 
 DESC_CHOICES = ("xyz", "hks", "wks", "stack")
 REFINE_CHOICES = ("none", "proper-adjoint", "proper-feature")
@@ -111,13 +111,7 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id):
 def _prepare_side(mesh, mesh_id, k, smooth_j, smooth_t, desc, landmarks, landmark_t):
     """Laplacian, basis, smoothed + normalized descriptor stack for one shape."""
     lap = build_laplacian(mesh)
-    j = smooth_j
-    if j > lap.n:
-        warnings.warn(
-            f"smoothing basis size {j} exceeds vertex count {lap.n}; clamping",
-            stacklevel=2,
-        )
-        j = lap.n
+    j = _smoothing_size(smooth_j, lap.n)
     basis_full = eigenbasis(lap, max(k, j))
     basis_k = basis_full.truncate(k)
     basis_j = basis_full.truncate(j)

@@ -19,20 +19,19 @@ from scipy.spatial.distance import cdist
 
 from .errors import LengthMismatch, ParseError, ZeroFeatures
 from .fmap import (
+    RANK_RTOL,
     PointMap,
     convert_adjoint,
     convert_feature_nn,
     loss_properness,
     properness_project,
+    _NN_BLOCK,
     _feature_values,
 )
 from .mesh import _fmt
 from .spectral import SpectralBasis
 
-RANK_RTOL = 1e-10
 ORACLE_TOL = 1e-8
-
-_NN_BLOCK = 2048
 
 
 def measure_completeness(basis: SpectralBasis, features) -> float:

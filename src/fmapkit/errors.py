@@ -34,7 +34,9 @@ class InvalidK(FmapError):
 
 
 class SolverFailure(FmapError):
-    """The dense eigensolver failed or the mesh exceeds the dense-size cap."""
+    """An eigensolve failed: the dense or sparse solver raised or did not
+    converge, the operator is not positive semidefinite, or a mesh too large
+    for the dense solver was sent to it."""
 
 
 class AllEigenvaluesExcluded(FmapError):

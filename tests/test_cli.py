@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from fmapkit import synth
+from fmapkit import spectral, synth
 from fmapkit.cli import MatchConfig, load_landmark_pairs, main
 from fmapkit.diagnostics import StructureReport
 from fmapkit.mesh import save_correspondence, save_mesh
@@ -143,6 +144,22 @@ class TestExitCodes:
         rc = main(match_args(SimpleNamespace(
             src=small_pair.src, dst=small_pair.dst, landmarks=bad), out))
         assert rc == 3
+
+    def test_sparse_solver_failure_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # 2562 vertices with k, j <= 128 take the sparse eigensolver branch
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK did not converge", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        mesh = tmp_path / "big.off"
+        save_mesh(synth.bumpy_sphere(4), mesh)
+        rc = main(["match", "--src", str(mesh), "--dst", str(mesh),
+                   "--out", str(tmp_path / "map.txt")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fmapkit: sparse eigensolver failed")
+        assert "Traceback" not in err
 
     def test_unknown_flag_raises_systemexit(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,8 @@
 
 The assembly is checked entry-for-entry against a law-of-cosines reference,
 and the eigensolve against scipy's generalized symmetric driver; both live
-in oracles.py. Handcrafted fixtures pin the cotangent arithmetic (interior
+in oracles.py. The sparse shift-invert branch is checked against the dense
+one on a 2562-vertex bumpy sphere, whose low spectrum is simple. Handcrafted fixtures pin the cotangent arithmetic (interior
 edge weight 0 on a square split along its diagonal, -1 on a kite whose
 opposite angles are 45 degrees).
 """
@@ -11,12 +12,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import oracles as orc
+from fmapkit import spectral, synth
 from fmapkit.errors import InvalidK, ParseError, SolverFailure
+from fmapkit.mesh import TriMesh
 from fmapkit.spectral import (
     LaplacianPair,
     MAX_DENSE_VERTICES,
+    SPARSE_K_RATIO,
+    SPARSE_MIN_VERTICES,
     build_laplacian,
     diffuse,
     eigen_residuals,
@@ -140,10 +146,22 @@ class TestEigenbasis:
             eigenbasis(lap, 5)
 
     def test_dense_cap(self):
+        # k = 1000 keeps this mesh on the dense branch, which refuses it
+        # before allocating the n x n operator
         n = MAX_DENSE_VERTICES + 1
         lap = LaplacianPair(sparse.eye(n, format="csr"), np.ones(n))
-        with pytest.raises(SolverFailure):
-            eigenbasis(lap, 10)
+        assert SPARSE_K_RATIO * 1000 >= n
+        with pytest.raises(SolverFailure, match="dense eigensolver cap"):
+            eigenbasis(lap, 1000)
+
+    def test_sparse_branch_has_no_size_cap(self):
+        mesh = synth.bumpy_sphere(5)
+        assert mesh.n_vertices > MAX_DENSE_VERTICES
+        lap = build_laplacian(mesh)
+        basis = eigenbasis(lap, 30)
+        gram = basis.phi.T @ (lap.mass[:, None] * basis.phi)
+        assert np.abs(gram - np.eye(30)).max() < 1e-8
+        assert eigen_residuals(lap, basis).max() < 1e-6
 
     def test_project_reconstruct_in_span(self, ico162):
         lap = build_laplacian(ico162)
@@ -214,6 +232,99 @@ class TestDiffusion:
         with pytest.warns(UserWarning, match="clamp"):
             basis = smoothing_basis(lap, 10)
         assert basis.k == 4
+
+
+@pytest.fixture(scope="module")
+def bumpy2562():
+    """Laplacian of bumpy_sphere(4) and its dense basis at k = 321.
+
+    321 is the smallest k with SPARSE_K_RATIO * k >= 2562, so the dense
+    basis truncates to every sparse k used below.
+    """
+    lap = build_laplacian(synth.bumpy_sphere(4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SPARSE_MIN_VERTICES", lap.n)
+        dense = eigenbasis(lap, 321)
+    return lap, dense
+
+
+class _SparseCalled(Exception):
+    pass
+
+
+def _refuse_eigsh(*args, **kwargs):
+    raise _SparseCalled
+
+
+class TestSparseBranch:
+    @pytest.mark.parametrize("k", [30, 128])
+    def test_matches_dense(self, bumpy2562, k):
+        lap, dense = bumpy2562
+        ref = dense.truncate(k)
+        basis = eigenbasis(lap, k)
+        assert np.abs(basis.lam - ref.lam).max() < 1e-12 * ref.lam[-1]
+        assert np.abs(basis.phi - ref.phi).max() < 1e-9
+        assert np.all(basis.lam >= 0)
+        gram = basis.phi.T @ (lap.mass[:, None] * basis.phi)
+        assert np.abs(gram - np.eye(k)).max() < 1e-8
+
+    @pytest.mark.parametrize("k", [30, 128])
+    def test_deterministic(self, bumpy2562, k):
+        lap, _ = bumpy2562
+        b1, b2 = eigenbasis(lap, k), eigenbasis(lap, k)
+        assert np.array_equal(b1.lam, b2.lam)
+        assert np.array_equal(b1.phi, b2.phi)
+
+    @pytest.mark.parametrize("k", [30, 128])
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e5])
+    def test_scale_equivariant(self, bumpy2562, k, scale):
+        # lambda scales as 1/scale^2 under a uniform scaling of the mesh
+        lap, _ = bumpy2562
+        mesh = synth.bumpy_sphere(4)
+        scaled = build_laplacian(TriMesh(mesh.vertices * scale, mesh.triangles))
+        lam = eigenbasis(lap, k).lam
+        lam_s = eigenbasis(scaled, k).lam * scale**2
+        assert abs(lam_s[0]) < 1e-10 * lam[-1]
+        assert np.abs(lam_s[1:] / lam[1:] - 1.0).max() < 1e-10
+
+    def test_dispatch_boundary(self, bumpy2562, monkeypatch):
+        lap, dense = bumpy2562
+        at_boundary = eigenbasis(lap, 321)
+        assert np.array_equal(at_boundary.lam, dense.lam)
+        assert np.array_equal(at_boundary.phi, dense.phi)
+        monkeypatch.setattr(spectral, "eigsh", _refuse_eigsh)
+        with pytest.raises(_SparseCalled):
+            eigenbasis(lap, 320)
+
+    def test_vertex_floor(self, monkeypatch):
+        monkeypatch.setattr(spectral, "eigsh", _refuse_eigsh)
+        n = SPARSE_MIN_VERTICES
+        eigenbasis(LaplacianPair(sparse.eye(n, format="csr"), np.ones(n)), 10)
+        lap = LaplacianPair(sparse.eye(n + 1, format="csr"), np.ones(n + 1))
+        with pytest.raises(_SparseCalled):
+            eigenbasis(lap, 10)
+
+    def test_not_psd_rejected(self):
+        n = 1200
+        lap = LaplacianPair(-sparse.eye(n, format="csr"), np.ones(n))
+        with pytest.raises(SolverFailure, match="positive semidefinite"):
+            eigenbasis(lap, 10)
+
+    @pytest.mark.parametrize("exc", [
+        ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+        ArpackError(-9999),
+        RuntimeError("Factor is exactly singular"),
+        ValueError("bad input"),
+    ])
+    def test_solver_errors_become_solver_failure(self, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(spectral, "eigsh", fail)
+        n = 1200
+        lap = LaplacianPair(sparse.eye(n, format="csr"), np.ones(n))
+        with pytest.raises(SolverFailure, match="sparse eigensolver failed"):
+            eigenbasis(lap, 10)
 
 
 @pytest.fixture(scope="module")

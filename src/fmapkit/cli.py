@@ -59,7 +59,6 @@ class MatchConfig:
     convert: str = "adjoint"
     landmarks: str | None = None
     landmark_t: float = 0.1
-    seed: int = 0
 
 
 @dataclass
@@ -151,7 +150,8 @@ def run_match(cfg: MatchConfig):
     else:
         pm = convert_feature_nn(f1, f2)
     save_correspondence(pm.indices, cfg.out)
-    report = build_structure_report(C, basis1, basis2, f1, f2)
+    report = build_structure_report(C, basis1, basis2, f1, f2,
+                                    adjoint=pm if cfg.convert == "adjoint" else None)
     report_path = cfg.out + ".report"
     Path(report_path).write_text(report.to_text())
     return pm, C, report
@@ -218,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--landmarks", default=None,
                    help="file of 'i j' landmark pairs (src dst)")
     m.add_argument("--landmark-t", type=float, default=0.1, dest="landmark_t")
-    m.add_argument("--seed", type=int, default=0)
 
     e = sub.add_parser("eval", help="geodesic-error evaluation of a correspondence")
     e.add_argument("--pred", required=True)
@@ -226,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mesh", required=True,
                    help="the mesh both correspondences index into")
     e.add_argument("--out", required=True, help="output CSV")
-    e.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("diagnose", help="exactness oracle + structure report")
     d.add_argument("--src", required=True)
@@ -253,7 +251,7 @@ def main(argv=None) -> int:
                 smooth_j=args.smooth_j, smooth_t=args.smooth_t, mu=args.mu,
                 refine=args.refine, refine_iters=args.refine_iters, tau=args.tau,
                 convert=args.convert, landmarks=args.landmarks,
-                landmark_t=args.landmark_t, seed=args.seed,
+                landmark_t=args.landmark_t,
             )
             pm, _, _ = run_match(cfg)
             print(f"wrote {cfg.out} ({pm.n_target} vertices) and {cfg.out}.report")

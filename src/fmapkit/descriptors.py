@@ -6,7 +6,7 @@ All descriptors return raw formula values; unit-M-norm column normalization
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,12 @@ EIG_CUTOFF = 1e-8
 class FeatureMatrix:
     """Vertex-wise descriptor stack: values (n, d) plus column provenance.
 
-    labels has one entry per column saying where it came from; coeffs
-    optionally caches the spectral coefficients of the columns.
+    labels has one entry per column saying where it came from.
     """
 
     values: np.ndarray
     labels: tuple[str, ...] = ()
     mesh_id: str | None = None
-    coeffs: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

@@ -56,18 +56,24 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
 def measure_properness(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
                        mass2: np.ndarray) -> float:
     """||C - C_proper||_F^2 with C_proper built from C's own adjoint map."""
-    pi = convert_adjoint(C, phi1, phi2)
-    return loss_properness(C, properness_project(pi, phi1, phi2, mass2))
+    return _properness(C, convert_adjoint(C, phi1, phi2), phi1, phi2, mass2)
+
+
+def _properness(C, adjoint: PointMap, phi1, phi2, mass2) -> float:
+    return loss_properness(C, properness_project(adjoint, phi1, phi2, mass2))
 
 
 @single_threaded()
 def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> float:
     """One-way chamfer ||Phi2 C - Pi Phi1||_F for the nearest-row map Pi."""
+    return _basis_align(C, convert_adjoint(C, phi1, phi2), phi1, phi2)
+
+
+def _basis_align(C, adjoint: PointMap, phi1, phi2) -> float:
     C = np.asarray(C, dtype=np.float64)
     phi1 = np.asarray(phi1, dtype=np.float64)
     phi2 = np.asarray(phi2, dtype=np.float64)
-    pi = convert_adjoint(C, phi1, phi2)
-    return float(np.linalg.norm(phi2 @ C - phi1[pi.indices]))
+    return float(np.linalg.norm(phi2 @ C - phi1[adjoint.indices]))
 
 
 @single_threaded()
@@ -207,11 +213,11 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     rows_distinct = bool(distinct_gap > 1e-12 * scale1)
 
     resid = float(np.linalg.norm(c_opt @ a1 - a2)) / max(1.0, float(np.linalg.norm(a2)))
+    adj = convert_adjoint(c_opt, basis1.phi, basis2.phi)
     emb = basis2.phi @ c_opt
-    align = measure_basis_aligning(c_opt, basis1.phi, basis2.phi) \
+    align = _basis_align(c_opt, adj, basis1.phi, basis2.phi) \
         / max(1.0, float(np.linalg.norm(emb)))
 
-    adj = convert_adjoint(c_opt, basis1.phi, basis2.phi)
     nn = convert_feature_nn(v1, v2)
     agreement = float(np.mean(adj.indices == nn.indices))
 
@@ -279,18 +285,29 @@ class StructureReport:
 
 @single_threaded()
 def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
-                           basis2: SpectralBasis, F1, F2) -> StructureReport:
-    """Assemble the per-pair report; completeness is the worse of two sides."""
+                           basis2: SpectralBasis, F1, F2,
+                           adjoint: PointMap | None = None) -> StructureReport:
+    """Assemble the per-pair report; completeness is the worse of two sides.
+
+    The properness residual and the basis-aligning chamfer both need C's
+    adjoint pointwise map, convert_adjoint(C, basis1.phi, basis2.phi).
+    A caller that already holds that map passes it as `adjoint`, so the
+    report makes no nearest-neighbour search of its own; without it, the
+    report converts C once and uses the result for both measures. The
+    report text is the same either way.
+    """
     v1, v2 = _feature_values(F1), _feature_values(F2)
     a1 = basis1.project(v1)
     comp = min(measure_completeness(basis1, v1), measure_completeness(basis2, v2))
     rank_f, rank_a = rank_report(v1, a1)
+    if adjoint is None:
+        adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
     return StructureReport(
         completeness=comp,
-        properness_residual=measure_properness(
-            C, basis1.phi, basis2.phi, basis2._need_mass()
+        properness_residual=_properness(
+            C, adjoint, basis1.phi, basis2.phi, basis2._need_mass()
         ),
-        basis_align_chamfer=measure_basis_aligning(C, basis1.phi, basis2.phi),
+        basis_align_chamfer=_basis_align(C, adjoint, basis1.phi, basis2.phi),
         rank_F=rank_f,
         rank_A=rank_a,
         nn_distinctness=nn_distinctness(v1),

@@ -38,12 +38,16 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
 
     mode 'adjoint' builds the soft map between Phi1 and Phi2 C (so the map
     refines itself); mode 'feature' builds it between the supplied
-    descriptor stacks (one projection then a fixed point, since the soft
-    map no longer depends on C).
+    descriptor stacks. That soft map does not depend on C, so feature mode
+    projects once: the next iterate would be the same map with residual
+    0.0, which the trace records without rebuilding it.
 
     Returns (C, trace) where trace[i] = ||C_i - C_{i+1}||_F^2, the
     properness loss between consecutive iterates. Stops early when that
     residual, or its change, falls below 1e-10.
+
+    Each iteration's (n2, n1) soft map is released once it is projected,
+    before the next one is built, so at most one is alive at a time.
     """
     if mode not in ("adjoint", "feature"):
         raise ValueError(f"unknown refine mode {mode!r}")
@@ -53,14 +57,17 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
         raise ValueError(f"iters must be >= 1, got {iters}")
     C = np.asarray(C0, dtype=np.float64).copy()
     mass2 = basis2._need_mass()
+
+    def project(g1, g2):
+        return properness_project(soft_map(g1, g2, tau), basis1.phi, basis2.phi, mass2)
+
+    if mode == "feature":
+        C_next = project(F1, F2)
+        r = loss_properness(C, C_next)
+        return C_next, np.asarray([r] if iters == 1 or r < RESIDUAL_EPS else [r, 0.0])
     trace = []
     for i in range(iters):
-        if mode == "adjoint":
-            g1, g2 = basis1.phi, basis2.phi @ C
-        else:
-            g1, g2 = F1, F2
-        pi = soft_map(g1, g2, tau)
-        C_next = properness_project(pi, basis1.phi, basis2.phi, mass2)
+        C_next = project(basis1.phi, basis2.phi @ C)
         r = loss_properness(C, C_next)
         trace.append(r)
         C = C_next

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from fmapkit import spectral, synth
-from fmapkit.cli import MatchConfig, load_landmark_pairs, main
+from fmapkit import cli, diagnostics, spectral, synth
+from fmapkit.cli import MatchConfig, load_landmark_pairs, main, run_match
 from fmapkit.diagnostics import StructureReport
+from fmapkit.fmap import convert_adjoint
 from fmapkit.mesh import save_correspondence, save_mesh
 
 
@@ -61,6 +62,24 @@ class TestMatch:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.txt.report").read_bytes() \
             == (tmp_path / "b.txt.report").read_bytes()
+
+    # with --convert nn the one adjoint conversion is the report's own
+    @pytest.mark.parametrize("convert", ["adjoint", "nn"])
+    def test_one_adjoint_conversion_per_map(self, small_pair, tmp_path, monkeypatch,
+                                            convert):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convert_adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "convert_adjoint", counted)
+        monkeypatch.setattr(diagnostics, "convert_adjoint", counted)
+        out = str(tmp_path / "map.txt")
+        run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                              out=out, desc="stack", refine="proper-adjoint",
+                              convert=convert))
+        assert len(calls) == 1
 
     def test_refined_match_still_exact(self, small_pair, tmp_path):
         out = tmp_path / "map.txt"
@@ -165,6 +184,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["match", "--nope"])
         assert exc.value.code == 2
+
+    def test_seed_is_only_a_diagnose_flag(self, small_pair, tmp_path):
+        out = tmp_path / "o.txt"
+        save_correspondence(small_pair.perm, out)
+        for argv in (match_args(small_pair, out),
+                     ["eval", "--pred", str(out), "--gt", str(out),
+                      "--mesh", str(small_pair.src), "--out", str(tmp_path / "e.csv")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "1"])
+            assert exc.value.code == 2
 
     def test_bad_choice_raises_systemexit(self, small_pair, tmp_path):
         with pytest.raises(SystemExit):

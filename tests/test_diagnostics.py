@@ -8,6 +8,7 @@ inputs and check every verdict field.
 import numpy as np
 import pytest
 
+from fmapkit import diagnostics
 from fmapkit.diagnostics import (
     OracleVerdict,
     StructureReport,
@@ -21,7 +22,7 @@ from fmapkit.diagnostics import (
     theorem_oracle,
 )
 from fmapkit.errors import LengthMismatch, ParseError, ZeroFeatures
-from fmapkit.fmap import PointMap, soft_map
+from fmapkit.fmap import PointMap, convert_adjoint, soft_map
 from fmapkit.spectral import eigenbasis
 
 
@@ -189,6 +190,19 @@ class TestTheoremOracle:
         b = theorem_oracle(F1, F2, pair.basis1, pair.basis2, seed=7)
         assert a == b
 
+    def test_converts_c_opt_once(self, pair, incomplete_features, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convert_adjoint(*args, **kwargs)
+
+        F1, F2n = incomplete_features
+        before = theorem_oracle(F1, F2n, pair.basis1, pair.basis2)
+        monkeypatch.setattr(diagnostics, "convert_adjoint", counted)
+        assert theorem_oracle(F1, F2n, pair.basis1, pair.basis2) == before
+        assert len(calls) == 1
+
     def test_to_text_has_every_field(self, pair, complete_features):
         F1, F2 = complete_features
         v = theorem_oracle(F1, F2, pair.basis1, pair.basis2)
@@ -225,6 +239,30 @@ class TestStructureReport:
         assert rep.basis_align_chamfer == pytest.approx(0.0, abs=1e-9)
         assert rep.rank_F == 30 and rep.rank_A == 30
         assert rep.nn_distinctness > 0
+
+    def test_given_adjoint_map_gives_the_same_text(self, pair, incomplete_features,
+                                                   monkeypatch):
+        F1, F2n = incomplete_features
+        C = pair.C_gt + 0.05 * np.random.default_rng(6).standard_normal((30, 30))
+        own = build_structure_report(C, pair.basis1, pair.basis2, F1, F2n)
+        pm = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convert_adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "convert_adjoint", counted)
+        given = build_structure_report(C, pair.basis1, pair.basis2, F1, F2n,
+                                       adjoint=pm)
+        assert calls == []
+        assert given.to_text() == own.to_text()
+        build_structure_report(C, pair.basis1, pair.basis2, F1, F2n)
+        assert len(calls) == 1  # one map for both measures
+        assert own.properness_residual == measure_properness(
+            C, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+        assert own.basis_align_chamfer == measure_basis_aligning(
+            C, pair.basis1.phi, pair.basis2.phi)
 
 
 class TestVerdictDataclass:

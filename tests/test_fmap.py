@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
+from fmapkit._blas import single_threaded
 from fmapkit.errors import LengthMismatch, ParseError, RankDeficient
 from fmapkit.fmap import (
     FunctionalMap,
@@ -150,6 +151,16 @@ class TestPointMap:
         with pytest.raises(LengthMismatch):
             PointMap("soft", n_source=3, matrix=np.ones((2, 2)) / 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_soft_validation_rejects_non_finite_rows(self, bad):
+        # every comparison with NaN is False, so only the row sums see it
+        with pytest.raises(LengthMismatch, match="finite"):
+            PointMap("soft", n_source=4, matrix=np.full((3, 4), bad))
+        m = np.full((3, 4), 0.25)
+        m[1, 2] = bad
+        with pytest.raises(LengthMismatch, match="finite"):
+            PointMap("soft", n_source=4, matrix=m)
+
     def test_unknown_kind(self):
         with pytest.raises(LengthMismatch):
             PointMap("fuzzy", n_source=2, indices=[0])
@@ -207,6 +218,25 @@ class TestSoftMap:
         pm = soft_map(G1, G2, tau=0.07)
         assert np.isfinite(pm.matrix).all()
         assert np.array_equal(pm.matrix.argmax(axis=1), [2, 0])
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.07, 1.0])
+    def test_equals_out_of_place_expression(self, pair, tau):
+        G1 = pair.basis1.phi
+        G2 = pair.basis2.phi @ (pair.C_gt + 0.1 * np.eye(30))
+        pm = soft_map(G1, G2, tau=tau)
+        with single_threaded():  # the same GEMM at the same thread count
+            s = (G2 @ G1.T) / tau
+        p = np.exp(s - s.max(1, keepdims=True))
+        assert np.array_equal(pm.matrix, p / p.sum(1, keepdims=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_row_raises(self, bad):
+        rng = np.random.default_rng(11)
+        G1 = rng.standard_normal((6, 3))
+        G2 = rng.standard_normal((4, 3))
+        G2[2, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch, match="finite"):
+            soft_map(G1, G2)
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

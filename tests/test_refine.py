@@ -1,11 +1,19 @@
 """Fixed-point properness refinement and gradient descent on map pairs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fmapkit import refine
 from fmapkit.errors import MissingFeatures, NonFiniteEnergy
 from fmapkit.evaluate import geodesic_error
-from fmapkit.fmap import convert_adjoint, loss_unsupervised
+from fmapkit.fmap import (
+    convert_adjoint,
+    loss_unsupervised,
+    properness_project,
+    soft_map,
+)
 from fmapkit.refine import refine_gradient, refine_proper, write_trace
 
 # refinement from C_gt + 0.1 * N(0,1) noise (seed 17), default tau, 10 iters
@@ -65,6 +73,44 @@ class TestRefineProper:
         assert len(trace) == 2  # one projection, then a fixed point
         pm = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
         assert np.array_equal(pm.indices, pair.perm)
+
+    @pytest.mark.parametrize("iters", [1, 10])
+    def test_feature_mode_builds_one_soft_map(self, pair, complete_features,
+                                              monkeypatch, iters):
+        F1, F2 = complete_features
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return soft_map(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "soft_map", counted)
+        C, trace = refine_proper(np.zeros((30, 30)), pair.basis1, pair.basis2,
+                                 iters=iters, mode="feature", F1=F1, F2=F2)
+        # the second iterate rebuilds the same soft map: residual exactly 0.0
+        assert trace.tolist() == [29.36850892094038, 0.0][:iters]
+        assert len(calls) == 1
+        C_ref = properness_project(soft_map(F1, F2), pair.basis1.phi,
+                                   pair.basis2.phi, pair.lap2.mass)
+        assert np.array_equal(C, C_ref)
+        # restarting at the fixed point stops on the first residual
+        C_again, trace = refine_proper(C, pair.basis1, pair.basis2, iters=iters,
+                                       mode="feature", F1=F1, F2=F2)
+        assert trace.tolist() == [0.0]
+        assert np.array_equal(C_again, C) and len(calls) == 2
+
+    def test_holds_one_soft_map_at_a_time(self, pair, noisy_start):
+        one_map = pair.basis2.n * pair.basis1.n * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 10
+        assert peak < 1.5 * one_map
 
     def test_feature_mode_needs_features(self, pair):
         with pytest.raises(MissingFeatures):

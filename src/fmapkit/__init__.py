@@ -24,7 +24,6 @@ from .errors import (
     ZeroFeatures,
 )
 from .mesh import (
-    GeodesicTable,
     TriMesh,
     graph_geodesics,
     load_correspondence,
@@ -61,7 +60,6 @@ from .descriptors import (
     save_features,
 )
 from .fmap import (
-    FunctionalMap,
     PointMap,
     convert_adjoint,
     convert_feature_nn,

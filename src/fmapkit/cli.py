@@ -31,10 +31,10 @@ from .descriptors import (
     FeatureMatrix,
 )
 from .diagnostics import build_structure_report, theorem_oracle
-from .errors import FmapError, InvalidK, ParseError
+from .errors import FmapError, InvalidK
 from .evaluate import geodesic_error, write_error_report
 from .fmap import convert_adjoint, convert_feature_nn, solve_fmap
-from .mesh import load_correspondence, load_mesh, save_correspondence, _meaningful_lines
+from .mesh import load_correspondence, load_mesh, read_table, save_correspondence
 from .refine import refine_proper
 from .spectral import build_laplacian, eigenbasis, smooth_features, _smoothing_size
 
@@ -77,22 +77,8 @@ class DiagnoseConfig:
 
 def load_landmark_pairs(path):
     """Landmark file: one 'i j' pair per line (src index, dst index)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"landmark file not found: {path}") from exc
-    src, dst = [], []
-    for no, line in _meaningful_lines(text):
-        toks = line.split()
-        if len(toks) != 2:
-            raise ParseError(f"{path}:{no}: expected 'i j' pair, got {line!r}")
-        try:
-            src.append(int(toks[0]))
-            dst.append(int(toks[1]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad landmark indices {line!r}") from exc
-    return src, dst
+    pairs = read_table(path, "landmark", dtype=int, width=2)
+    return pairs[:, 0].tolist(), pairs[:, 1].tolist()
 
 
 def _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id):

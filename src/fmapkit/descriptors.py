@@ -7,7 +7,6 @@ All descriptors return raw formula values; unit-M-norm column normalization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -15,10 +14,9 @@ from .errors import (
     AllEigenvaluesExcluded,
     IndexOutOfRange,
     LengthMismatch,
-    ParseError,
     ZeroFeatures,
 )
-from .mesh import TriMesh, _fmt, _meaningful_lines
+from .mesh import TriMesh, read_table, write_table
 from .spectral import SpectralBasis, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
@@ -204,37 +202,8 @@ def normalize_columns(values: np.ndarray, mass: np.ndarray,
 
 def save_features(features: FeatureMatrix, path) -> None:
     """'FEAT n d' header, then n rows of d decimals (labels are not stored)."""
-    lines = [f"FEAT {features.n} {features.d}"]
-    lines += [" ".join(_fmt(x) for x in row) for row in features.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(features.values, path, header=f"FEAT {features.n} {features.d}")
 
 
 def load_features(path) -> FeatureMatrix:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"feature file not found: {path}") from exc
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(f"{path}: empty feature file")
-    no, header = lines[0]
-    toks = header.split()
-    if len(toks) != 3 or toks[0] != "FEAT":
-        raise ParseError(f"{path}:{no}: expected 'FEAT n d' header")
-    try:
-        n, d = int(toks[1]), int(toks[2])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad sizes in {header!r}") from exc
-    if len(lines) != 1 + n:
-        raise ParseError(f"{path}: expected {n} rows, got {len(lines) - 1}")
-    vals = np.empty((n, d))
-    for i, (no, line) in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != d:
-            raise ParseError(f"{path}:{no}: expected {d} values, got {len(toks)}")
-        try:
-            vals[i] = [float(x) for x in toks]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number in row") from exc
-    return FeatureMatrix(vals)
+    return FeatureMatrix(read_table(path, "feature", tag="FEAT"))

@@ -13,14 +13,13 @@ Direction bookkeeping, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._blas import single_threaded
-from .errors import LengthMismatch, ParseError, RankDeficient
-from .mesh import _fmt, _meaningful_lines
+from .errors import LengthMismatch, RankDeficient
+from .mesh import read_table, write_table
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -30,28 +29,6 @@ DEFAULT_TAU = 0.07
 DEFAULT_MU = 1e-3
 
 _NN_BLOCK = 2048
-
-
-@dataclass
-class FunctionalMap:
-    """Coefficient-space map C (k2, k1) with optional basis bookkeeping."""
-
-    C: np.ndarray
-    source_id: str | None = None
-    target_id: str | None = None
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=np.float64)
-        if self.C.ndim != 2:
-            raise LengthMismatch(f"C must be 2-D, got shape {self.C.shape}")
-
-    @property
-    def k1(self) -> int:
-        return self.C.shape[1]
-
-    @property
-    def k2(self) -> int:
-        return self.C.shape[0]
 
 
 @dataclass
@@ -324,37 +301,8 @@ def grad_unsupervised(C12: np.ndarray, C21: np.ndarray):
 def save_fmap(C: np.ndarray, path) -> None:
     """'FMAP k2 k1' header then k2 rows of k1 decimals."""
     C = np.asarray(C, dtype=np.float64)
-    lines = [f"FMAP {C.shape[0]} {C.shape[1]}"]
-    lines += [" ".join(_fmt(x) for x in row) for row in C]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(C, path, header=f"FMAP {C.shape[0]} {C.shape[1]}")
 
 
 def load_fmap(path) -> np.ndarray:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"map file not found: {path}") from exc
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(f"{path}: empty map file")
-    no, header = lines[0]
-    toks = header.split()
-    if len(toks) != 3 or toks[0] != "FMAP":
-        raise ParseError(f"{path}:{no}: expected 'FMAP k2 k1' header")
-    try:
-        k2, k1 = int(toks[1]), int(toks[2])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad sizes in {header!r}") from exc
-    if len(lines) != 1 + k2:
-        raise ParseError(f"{path}: expected {k2} rows, got {len(lines) - 1}")
-    C = np.empty((k2, k1))
-    for i, (no, line) in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != k1:
-            raise ParseError(f"{path}:{no}: expected {k1} values, got {len(toks)}")
-        try:
-            C[i] = [float(x) for x in toks]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad number") from exc
-    return C
+    return read_table(path, "map", tag="FMAP")

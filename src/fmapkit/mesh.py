@@ -1,11 +1,15 @@
-"""Triangle meshes: validation, areas, file formats, graph geodesics.
+"""Triangle meshes: validation, areas, graph geodesics, and every file format.
 
 A mesh is vertices (n, 3) float64 plus triangles (m, 3) int64. Construction
 validates index ranges and rejects geometrically degenerate input; everything
 downstream (mass matrices, geodesics) relies on those guarantees.
 
-Supported file formats are ASCII only: OFF, OBJ, and ASCII PLY. Parsing is
-strict and order-preserving, so parse -> serialize -> parse is an identity.
+Meshes are ASCII only: OFF, OBJ, and ASCII PLY. Every other numeric file
+(matrices, correspondences, landmark pairs, bases, descriptors, maps) is one
+text table: an optional 'TAG a b' header, then rows of numbers, read by
+read_table and written by write_table. Parsing is strict and
+order-preserving, so parse -> serialize -> parse is an identity, and every
+malformed file raises ParseError. _file_text is the one place a file is read.
 """
 
 from __future__ import annotations
@@ -159,27 +163,6 @@ def graph_geodesics(mesh: TriMesh, sources=None) -> np.ndarray:
     return dijkstra(mesh.edge_graph(), directed=False, indices=sources)
 
 
-class GeodesicTable:
-    """Row cache over graph_geodesics for repeated queries on one mesh."""
-
-    def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        self._rows: dict[int, np.ndarray] = {}
-
-    def rows(self, sources) -> np.ndarray:
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        missing = [int(s) for s in np.unique(sources) if int(s) not in self._rows]
-        if missing:
-            block = graph_geodesics(self.mesh, missing)
-            for i, s in enumerate(missing):
-                self._rows[s] = block[i]
-        return np.stack([self._rows[int(s)] for s in sources]) if sources.size \
-            else np.zeros((0, self.mesh.n_vertices))
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.rows([i])[0, j])
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -187,62 +170,141 @@ class GeodesicTable:
 def _meaningful_lines(text: str):
     """Yield (lineno, line) skipping blanks and '#' comment lines."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield no, line
 
 
-def _parse_floats(tokens, lineno, path):
+def _file_text(path, what: str) -> str:
+    """The text of a file; a missing, unreadable or binary file is ParseError."""
     try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: expected numbers, got {tokens!r}") from exc
+        return Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise ParseError(f"{what} file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file (binary formats unsupported)") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read {what} file: {exc.strerror or exc}") from exc
+
+
+def _numbers(tokens, dtype, where) -> np.ndarray:
+    """Tokens through Python's own float() or int(), as a float64/int64 array.
+
+    int tokens are counts or 0-based indices: they must lie in [0, 2**63).
+    """
+    try:
+        out = np.fromiter(map(dtype, tokens), np.int64 if dtype is int else np.float64,
+                          len(tokens))
+    except (ValueError, OverflowError) as exc:
+        kind = "integers in [0, 2**63)" if dtype is int else "numbers"
+        raise ParseError(f"{where}: expected {kind}, got {tokens!r}") from exc
+    if dtype is int and out.size and out.min() < 0:
+        raise ParseError(f"{where}: counts and indices must be non-negative, got {tokens!r}")
+    return out
+
+
+def _table(lines, path, dtype=float, width=None) -> np.ndarray:
+    """(rows, width) array from (lineno, line) pairs.
+
+    Every row must hold `width` tokens (the first row's count when None).
+    The tokens are converted as one flat list; only on failure is the first
+    bad line looked up, so the error names it.
+    """
+    flat, nos = [], []
+    for no, line in lines:
+        toks = line.split()
+        if width is None:
+            width = len(toks)
+        if len(toks) != width:
+            raise ParseError(f"{path}:{no}: expected {width} values, got {len(toks)}")
+        flat += toks
+        nos.append(no)
+    try:
+        values = _numbers(flat, dtype, path)
+    except ParseError:
+        for r, no in enumerate(nos):
+            _numbers(flat[r * width:(r + 1) * width], dtype, f"{path}:{no}")
+        raise
+    return values.reshape(len(nos), width or 0)
+
+
+def read_table(path, what: str, tag: str | None = None, dtype=float, width=None,
+               shape=None) -> np.ndarray:
+    """Read a text table: an optional 'TAG a b' header, then rows of numbers.
+
+    Blank lines and '#' comments are skipped anywhere. Every row holds
+    `width` tokens (the first row's count when None). dtype float reads each
+    token with Python's float(), so a value written by write_table comes
+    back bit for bit; dtype int reads 0-based indices, which must be
+    non-negative.
+
+    With a tag, the first line must be 'TAG a b' with integers a, b >= 0,
+    and the table must have shape(a, b) = (rows, width) (identity when
+    shape is None). Without a tag, the table needs at least one row.
+
+    Returns a (rows, width) float64 or int64 array. Any malformed file
+    (missing, binary, bad header, ragged row, bad token, wrong row count)
+    raises ParseError; `what` names the file kind in the message.
+    """
+    lines = _meaningful_lines(_file_text(path, what))
+    rows = None
+    if tag is not None:
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(f"{path}: empty {what} file")
+        no, header = first
+        toks = header.split()
+        if len(toks) != 3 or toks[0] != tag:
+            raise ParseError(f"{path}:{no}: expected a '{tag} a b' header, got {header!r}")
+        a, b = _numbers(toks[1:], int, f"{path}:{no}").tolist()
+        rows, width = shape(a, b) if shape else (a, b)
+    table = _table(lines, path, dtype, width)
+    if rows is not None and len(table) != rows:
+        raise ParseError(f"{path}: expected {rows} rows, got {len(table)}")
+    if rows is None and not len(table):
+        raise ParseError(f"{path}: empty {what} file")
+    return table
+
+
+def write_table(a, path, header: str | None = None) -> None:
+    """Write a 2-D array one row per line, under an optional header line.
+
+    Floats are written with _fmt (the shortest decimal that reads back
+    exactly), integers as plain ints.
+    """
+    a = np.asarray(a)
+    fmt = str if a.dtype.kind in "iu" else _fmt
+    lines = [] if header is None else [header]
+    lines += [" ".join(map(fmt, row)) for row in a.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _triangles(lines, path) -> np.ndarray:
+    """(m, 3) indices from '3 i j k' face lines (OFF and PLY)."""
+    faces = _table(lines, path, int, 4)
+    bad = np.nonzero(faces[:, 0] != 3)[0]
+    if bad.size:
+        no, line = lines[bad[0]]
+        raise ParseError(f"{path}:{no}: face line must be '3 i j k', got {line!r}")
+    return faces[:, 1:].copy()
 
 
 def _parse_off(text: str, path) -> TriMesh:
-    lines = _meaningful_lines(text)
-    try:
-        no, header = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
+    lines = list(_meaningful_lines(text))
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    no, header = lines[0]
     if header != "OFF":
         raise ParseError(f"{path}:{no}: expected 'OFF' header, got {header!r}")
-    try:
-        no, counts = next(lines)
-    except StopIteration:
-        raise ParseError(f"{path}: missing count line") from None
-    parts = counts.split()
-    if len(parts) != 3:
-        raise ParseError(f"{path}:{no}: count line must be 'n m 0', got {counts!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-        int(parts[2])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad counts {counts!r}") from exc
-    verts = np.empty((n, 3))
-    for i in range(n):
-        try:
-            no, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"{path}: expected {n} vertices, file ended at {i}") from None
-        toks = line.split()
-        if len(toks) != 3:
-            raise ParseError(f"{path}:{no}: vertex line needs 3 coordinates, got {len(toks)}")
-        verts[i] = _parse_floats(toks, no, path)
-    tris = np.empty((m, 3), dtype=np.int64)
-    for i in range(m):
-        try:
-            no, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"{path}: expected {m} faces, file ended at {i}") from None
-        toks = line.split()
-        if len(toks) != 4 or toks[0] != "3":
-            raise ParseError(f"{path}:{no}: face line must be '3 i j k', got {line!r}")
-        try:
-            tris[i] = [int(t) for t in toks[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad face indices {line!r}") from exc
-    return TriMesh(verts, tris)
+    if len(lines) < 2:
+        raise ParseError(f"{path}: missing count line")
+    n, m, _ = _table(lines[1:2], path, int, 3)[0].tolist()
+    body = lines[2:]
+    if len(body) < n + m:
+        raise ParseError(
+            f"{path}: expected {n} vertices and {m} faces, file has {len(body)} lines"
+        )
+    return TriMesh(_table(body[:n], path, float, 3), _triangles(body[n:n + m], path))
 
 
 def _serialize_off(mesh: TriMesh) -> str:
@@ -253,32 +315,22 @@ def _serialize_off(mesh: TriMesh) -> str:
 
 
 def _parse_obj(text: str, path) -> TriMesh:
-    verts, tris = [], []
+    verts, faces = [], []
     for no, line in _meaningful_lines(text):
         toks = line.split()
-        kind = toks[0]
-        if kind == "v":
-            if len(toks) != 4:
-                raise ParseError(f"{path}:{no}: 'v' line needs 3 coordinates")
-            verts.append(_parse_floats(toks[1:], no, path))
-        elif kind == "f":
-            if len(toks) != 4:
-                raise ParseError(f"{path}:{no}: only triangular faces are supported")
-            idx = []
-            for t in toks[1:]:
-                head = t.split("/", 1)[0]
-                try:
-                    i = int(head)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{no}: bad face token {t!r}") from exc
-                if i < 1:
-                    raise ParseError(f"{path}:{no}: OBJ indices are 1-based, got {i}")
-                idx.append(i - 1)
-            tris.append(idx)
+        if toks[0] == "v":
+            verts.append((no, line[1:]))
+        elif toks[0] == "f":
+            faces.append((no, " ".join(t.split("/", 1)[0] for t in toks[1:])))
         # vn/vt/o/g/s/usemtl/mtllib lines carry no geometry here
     if not verts:
         raise ParseError(f"{path}: no vertices found")
-    return TriMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+    tris = _table(faces, path, int, 3)
+    bad = np.nonzero((tris < 1).any(axis=1))[0]
+    if bad.size:
+        no, line = faces[bad[0]]
+        raise ParseError(f"{path}:{no}: OBJ indices are 1-based, got {line!r}")
+    return TriMesh(_table(verts, path, float, 3), tris - 1)
 
 
 def _serialize_obj(mesh: TriMesh) -> str:
@@ -291,7 +343,7 @@ def _parse_ply(text: str, path) -> TriMesh:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError(f"{path}: not a PLY file (missing 'ply' magic)")
-    n = m = None
+    counts: dict[str, int] = {}
     vertex_props: list[str] = []
     current = None
     body_start = None
@@ -307,12 +359,9 @@ def _parse_ply(text: str, path) -> TriMesh:
             if len(toks) != 3:
                 raise ParseError(f"{path}:{lineno}: bad element line {line!r}")
             current = toks[1]
-            if current == "vertex":
-                n = int(toks[2])
-            elif current == "face":
-                m = int(toks[2])
-            else:
+            if current not in ("vertex", "face"):
                 raise ParseError(f"{path}:{lineno}: unsupported element {current!r}")
+            counts[current] = int(_numbers(toks[2:], int, f"{path}:{lineno}")[0])
         elif toks[0] == "property":
             if current == "vertex":
                 vertex_props.append(toks[-1])
@@ -321,28 +370,18 @@ def _parse_ply(text: str, path) -> TriMesh:
             break
         else:
             raise ParseError(f"{path}:{lineno}: unexpected header line {line!r}")
-    if body_start is None or n is None or m is None:
+    if body_start is None or len(counts) != 2:
         raise ParseError(f"{path}: incomplete PLY header")
     if vertex_props != ["x", "y", "z"]:
         raise ParseError(
             f"{path}: vertex properties must be exactly x y z, got {vertex_props}"
         )
-    body = [ln.strip() for ln in lines[body_start:] if ln.strip()]
+    n, m = counts["vertex"], counts["face"]
+    body = [(no, ln.strip()) for no, ln in enumerate(lines[body_start:], start=body_start + 1)
+            if ln.strip()]
     if len(body) < n + m:
         raise ParseError(f"{path}: expected {n + m} body lines, got {len(body)}")
-    verts = np.empty((n, 3))
-    for i in range(n):
-        toks = body[i].split()
-        if len(toks) != 3:
-            raise ParseError(f"{path}: vertex row {i} needs 3 values")
-        verts[i] = _parse_floats(toks, body_start + 1 + i, path)
-    tris = np.empty((m, 3), dtype=np.int64)
-    for i in range(m):
-        toks = body[n + i].split()
-        if len(toks) != 4 or toks[0] != "3":
-            raise ParseError(f"{path}: face row {i} must be '3 i j k'")
-        tris[i] = [int(t) for t in toks[1:]]
-    return TriMesh(verts, tris)
+    return TriMesh(_table(body[:n], path, float, 3), _triangles(body[n:n + m], path))
 
 
 def _serialize_ply(mesh: TriMesh) -> str:
@@ -378,14 +417,7 @@ def _infer_format(path: Path, fmt: str | None) -> str:
 def load_mesh(path, fmt: str | None = None) -> TriMesh:
     """Load an ASCII mesh file; format inferred from the extension unless given."""
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"mesh file not found: {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not an ASCII file (binary formats unsupported)") from exc
-    return _PARSERS[fmt](text, path)
+    return _PARSERS[_infer_format(path, fmt)](_file_text(path, "mesh"), path)
 
 
 def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
@@ -396,55 +428,17 @@ def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Whitespace-separated decimal text, one matrix row per line."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"matrix file not found: {path}") from exc
-    rows = []
-    width = None
-    for no, line in _meaningful_lines(text):
-        vals = _parse_floats(line.split(), no, path)
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise ParseError(f"{path}:{no}: ragged row ({len(vals)} values, expected {width})")
-        rows.append(vals)
-    if not rows:
-        raise ParseError(f"{path}: empty matrix file")
-    return np.asarray(rows)
+    return read_table(path, "matrix")
 
 
 def save_matrix(a: np.ndarray, path) -> None:
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    lines = [" ".join(_fmt(v) for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(np.atleast_2d(np.asarray(a, dtype=np.float64)), path)
 
 
 def load_correspondence(path) -> np.ndarray:
     """One 0-based target index per source vertex, one per line."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"correspondence file not found: {path}") from exc
-    idx = []
-    for no, line in _meaningful_lines(text):
-        toks = line.split()
-        if len(toks) != 1:
-            raise ParseError(f"{path}:{no}: one index per line, got {line!r}")
-        try:
-            v = int(toks[0])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{no}: bad index {toks[0]!r}") from exc
-        if v < 0:
-            raise ParseError(f"{path}:{no}: indices are 0-based and non-negative, got {v}")
-        idx.append(v)
-    if not idx:
-        raise ParseError(f"{path}: empty correspondence file")
-    return np.asarray(idx, dtype=np.int64)
+    return read_table(path, "correspondence", dtype=int, width=1).ravel()
 
 
 def save_correspondence(indices, path) -> None:
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    Path(path).write_text("\n".join(str(int(i)) for i in indices) + "\n")
+    write_table(np.asarray(indices, dtype=np.int64).reshape(-1, 1), path)

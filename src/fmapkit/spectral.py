@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._blas import single_threaded
-from .errors import InvalidK, ParseError, SolverFailure
-from .mesh import TriMesh, _fmt, _meaningful_lines
+from .errors import InvalidK, SolverFailure
+from .mesh import TriMesh, read_table, write_table
 
 # cot of angles is clamped to +-cot(1e-6 rad): slivers below the mesh area
 # floor never get here, but directly constructed bad geometry stays finite.
@@ -295,37 +294,12 @@ def eigen_residuals(lap: LaplacianPair, basis: SpectralBasis) -> np.ndarray:
 
 def save_basis(basis: SpectralBasis, path) -> None:
     """Cache file: 'SPECBASIS k n' header, one lambda row, n Phi rows."""
-    lines = [f"SPECBASIS {basis.k} {basis.n}",
-             " ".join(_fmt(x) for x in basis.lam)]
-    lines += [" ".join(_fmt(x) for x in row) for row in basis.phi]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(np.vstack([basis.lam, basis.phi]), path,
+                header=f"SPECBASIS {basis.k} {basis.n}")
 
 
 def load_basis(path, mass: np.ndarray | None = None) -> SpectralBasis:
     """Read a basis cache; pass the mesh's mass vector to re-enable projection."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except FileNotFoundError as exc:
-        raise ParseError(f"basis file not found: {path}") from exc
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(f"{path}: empty basis file")
-    no, header = lines[0]
-    toks = header.split()
-    if len(toks) != 3 or toks[0] != "SPECBASIS":
-        raise ParseError(f"{path}:{no}: expected 'SPECBASIS k n' header")
-    try:
-        k, n = int(toks[1]), int(toks[2])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: bad sizes in header {header!r}") from exc
-    if len(lines) != 2 + n:
-        raise ParseError(f"{path}: expected {1 + n} data lines, got {len(lines) - 1}")
-    try:
-        lam = np.array([float(x) for x in lines[1][1].split()])
-        phi = np.array([[float(x) for x in line.split()] for _, line in lines[2:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad numeric data") from exc
-    if lam.size != k or phi.shape != (n, k):
-        raise ParseError(f"{path}: data does not match header sizes k={k} n={n}")
-    return SpectralBasis(lam, phi, mass)
+    table = read_table(path, "basis", tag="SPECBASIS", shape=lambda k, n: (n + 1, k))
+    # lam and phi get buffers of their own, so neither keeps the table alive
+    return SpectralBasis(table[0].copy(), table[1:].copy(), mass)

@@ -29,6 +29,23 @@ def small_pair(tmp_path_factory):
                            perm=perm, root=root)
 
 
+PLY_TRIANGLE = (
+    "ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n"
+    "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+    "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {k}\n"
+)
+
+# file name -> contents (None: a directory) of inputs every reader must
+# reject with ParseError; "pred" is fed to eval, the rest to match as --src
+MALFORMED = {
+    "binary_pred": ("pred.txt", b"\xff\xfe\x00\x81\x00"),
+    "directory_mesh": ("dir.off", None),
+    "negative_off_count": ("neg.off", b"OFF\n-1 1 0\n"),
+    "ply_face_token": ("tok.ply", PLY_TRIANGLE.format(n=3, k="x").encode()),
+    "ply_element_count": ("count.ply", PLY_TRIANGLE.format(n="x", k=2).encode()),
+}
+
+
 def match_args(fx, out, **overrides):
     args = ["match", "--src", str(fx.src), "--dst", str(fx.dst),
             "--out", str(out), "--k", "25", "--desc", "stack",
@@ -178,6 +195,28 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("fmapkit: sparse eigensolver failed")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_data_error(self, small_pair, tmp_path, capsys, case):
+        name, content = MALFORMED[case]
+        bad = tmp_path / name
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        if name == "pred.txt":
+            gt = tmp_path / "gt.txt"
+            save_correspondence(small_pair.perm, gt)
+            argv = ["eval", "--pred", str(bad), "--gt", str(gt),
+                    "--mesh", str(small_pair.src), "--out", str(tmp_path / "e.csv")]
+        else:
+            argv = ["match", "--src", str(bad), "--dst", str(small_pair.dst),
+                    "--out", str(tmp_path / "o.txt")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("fmapkit:")
         assert "Traceback" not in err
 
     def test_unknown_flag_raises_systemexit(self):

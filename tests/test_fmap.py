@@ -14,7 +14,6 @@ import oracles as orc
 from fmapkit._blas import single_threaded
 from fmapkit.errors import LengthMismatch, ParseError, RankDeficient
 from fmapkit.fmap import (
-    FunctionalMap,
     PointMap,
     convert_adjoint,
     convert_feature_nn,
@@ -337,13 +336,6 @@ class TestFmapIO:
         path = tmp_path / "c.txt"
         save_fmap(np.zeros((4, 6)), path)
         assert path.read_text().splitlines()[0] == "FMAP 4 6"
-
-    def test_functional_map_wrapper(self, pair):
-        fm = FunctionalMap(pair.C_gt, source_id="s", target_id="d")
-        assert fm.C.shape == (30, 30)
-        assert fm.k1 == 30 and fm.k2 == 30
-        with pytest.raises(LengthMismatch):
-            FunctionalMap(np.zeros(3))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -2,7 +2,9 @@
 
 Geometry checks compare against the independent routes in oracles.py
 (Heron areas, heapq Dijkstra); a few values are pinned as literals that were
-computed with those oracles before the implementation existed.
+computed with those oracles before the implementation existed. The file
+format tests here cover every numeric text reader in the package, since they
+all share mesh.read_table / write_table.
 """
 
 import numpy as np
@@ -11,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from fmapkit import synth
-from fmapkit.errors import DegenerateMesh, IndexOutOfRange, ParseError
+from fmapkit.cli import load_landmark_pairs
+from fmapkit.descriptors import FeatureMatrix, load_features, save_features
+from fmapkit.errors import DegenerateMesh, FmapError, IndexOutOfRange, ParseError
+from fmapkit.fmap import load_fmap, save_fmap
 from fmapkit.mesh import (
-    GeodesicTable,
     TriMesh,
     graph_geodesics,
     load_correspondence,
@@ -23,12 +27,49 @@ from fmapkit.mesh import (
     save_matrix,
     save_mesh,
 )
+from fmapkit.spectral import SpectralBasis, load_basis, save_basis
 
 # pinned with oracles.dijkstra_ref / total_area_heron before wiring in scipy
 ICO642_AREA = 12.506492733969862
 ICO642_ANTIPODE = 3
 ICO642_ANTIPODAL_DIST = 3.3187961651320244
 STRIP_DISTS = [0.0, 1.0, 2.0, 8.06225774829855]  # last one = sqrt(65)
+
+
+def _save_basis_table(a, path):
+    save_basis(SpectralBasis(a[0], a[1:]), path)
+
+
+def _load_basis_table(path):
+    basis = load_basis(path)
+    return np.vstack([basis.lam, basis.phi])
+
+
+# writer/reader pairs of every table format, each taking and giving an array
+ROUND_TRIPS = {
+    "matrix": (save_matrix, load_matrix),
+    "fmap": (save_fmap, load_fmap),
+    "features": (lambda a, path: save_features(FeatureMatrix(a), path),
+                 lambda path: load_features(path).values),
+    "basis": (_save_basis_table, _load_basis_table),
+    "correspondence": (save_correspondence, load_correspondence),
+}
+
+READERS = {
+    "matrix": load_matrix,
+    "correspondence": load_correspondence,
+    "landmarks": load_landmark_pairs,
+    "basis": load_basis,
+    "features": load_features,
+    "fmap": load_fmap,
+    "off": lambda p: load_mesh(p, fmt="off"),
+    "obj": lambda p: load_mesh(p, fmt="obj"),
+    "ply": lambda p: load_mesh(p, fmt="ply"),
+}
+
+# near-valid starts, so the fuzz also reaches the code past each header
+FUZZ_PREFIXES = ["", "FMAP ", "FEAT ", "SPECBASIS ", "OFF\n", "v ", "f ",
+                 "ply\nformat ascii 1.0\nelement vertex "]
 
 
 class TestTriMeshValidation:
@@ -146,19 +187,6 @@ class TestGeodesics:
     def test_empty_sources(self, tetra):
         assert graph_geodesics(tetra, []).shape == (0, 4)
 
-    def test_table_matches_direct(self, strip):
-        table = GeodesicTable(strip)
-        direct = graph_geodesics(strip, [2, 0, 2])
-        assert table.rows([2, 0, 2]) == pytest.approx(direct, rel=1e-15)
-        assert table.distance(0, 3) == pytest.approx(np.sqrt(65.0), abs=1e-12)
-
-    def test_table_caches_rows(self, strip):
-        table = GeodesicTable(strip)
-        table.rows([1])
-        assert set(table._rows) == {1}
-        table.rows([1, 3])
-        assert set(table._rows) == {1, 3}
-
 
 class TestMeshIO:
     @pytest.mark.parametrize("ext", ["off", "obj", "ply"])
@@ -271,17 +299,24 @@ class TestMatrixIO:
         with pytest.raises(ParseError):
             load_matrix(path)
 
-    @settings(deadline=None, max_examples=25)
-    @given(st.lists(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                 min_size=3, max_size=3),
-        min_size=1, max_size=8,
-    ))
-    def test_round_trip_property(self, tmp_path_factory, rows):
-        a = np.asarray(rows, dtype=np.float64)
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.sampled_from(sorted(ROUND_TRIPS)),
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                     min_size=3, max_size=3),
+            min_size=1, max_size=8,
+        ),
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8),
+    )
+    def test_round_trip_property(self, tmp_path_factory, fmt, rows, indices):
+        save, load = ROUND_TRIPS[fmt]
+        a = np.asarray(indices if fmt == "correspondence" else rows)
         path = tmp_path_factory.mktemp("mat") / "m.txt"
-        save_matrix(a, path)
-        assert np.array_equal(load_matrix(path), a)
+        save(a, path)
+        back = load(path)
+        assert back.dtype == a.dtype
+        assert np.array_equal(back, a)
 
 
 class TestCorrespondenceIO:
@@ -307,6 +342,25 @@ class TestCorrespondenceIO:
         path = tmp_path / "c.txt"
         path.write_text("# header\n1\n2\n")
         assert np.array_equal(load_correspondence(path), [1, 2])
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64).map(str.encode),
+        st.builds(lambda head, body: (head + body).encode(),
+                  st.sampled_from(FUZZ_PREFIXES),
+                  st.text(alphabet="0123456789 -+.e#x\n", max_size=80)),
+    ))
+    def test_readers_raise_only_fmap_errors(self, tmp_path_factory, reader, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+        path.write_bytes(data)
+        try:
+            READERS[reader](path)
+        except FmapError:
+            pass
 
 
 class TestSynth:

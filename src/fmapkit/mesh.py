@@ -14,6 +14,7 @@ malformed file raises ParseError. _file_text is the one place a file is read.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import DegenerateMesh, IndexOutOfRange, ParseError
 # Triangles are rejected when their area falls below this fraction of the
 # squared bounding-box diagonal; keeps cotangents and masses finite.
 AREA_FLOOR_SCALE = 1e-12
+
+_TABLE_CHUNK_ROWS = 1024  # rows of a text table whose tokens _table converts at once
 
 
 def _fmt(x: float) -> str:
@@ -207,25 +210,27 @@ def _table(lines, path, dtype=float, width=None) -> np.ndarray:
     """(rows, width) array from (lineno, line) pairs.
 
     Every row must hold `width` tokens (the first row's count when None).
-    The tokens are converted as one flat list; only on failure is the first
-    bad line looked up, so the error names it.
+    Tokens are converted as one flat list per _TABLE_CHUNK_ROWS rows; only on
+    failure is the first bad line looked up, so the error names it.
     """
-    flat, nos = [], []
-    for no, line in lines:
-        toks = line.split()
-        if width is None:
-            width = len(toks)
-        if len(toks) != width:
-            raise ParseError(f"{path}:{no}: expected {width} values, got {len(toks)}")
-        flat += toks
-        nos.append(no)
-    try:
-        values = _numbers(flat, dtype, path)
-    except ParseError:
-        for r, no in enumerate(nos):
-            _numbers(flat[r * width:(r + 1) * width], dtype, f"{path}:{no}")
-        raise
-    return values.reshape(len(nos), width or 0)
+    lines, chunks, n_rows = iter(lines), [_numbers([], dtype, path)], 0
+    while chunk := list(islice(lines, _TABLE_CHUNK_ROWS)):
+        flat = []
+        for no, line in chunk:
+            toks = line.split()
+            if width is None:
+                width = len(toks)
+            if len(toks) != width:
+                raise ParseError(f"{path}:{no}: expected {width} values, got {len(toks)}")
+            flat += toks
+        try:
+            chunks.append(_numbers(flat, dtype, path))
+        except ParseError:
+            for r, (no, _) in enumerate(chunk):
+                _numbers(flat[r * width:(r + 1) * width], dtype, f"{path}:{no}")
+            raise
+        n_rows += len(chunk)
+    return np.concatenate(chunks).reshape(n_rows, width or 0)
 
 
 def read_table(path, what: str, tag: str | None = None, dtype=float, width=None,
@@ -299,12 +304,13 @@ def _parse_off(text: str, path) -> TriMesh:
     if len(lines) < 2:
         raise ParseError(f"{path}: missing count line")
     n, m, _ = _table(lines[1:2], path, int, 3)[0].tolist()
-    body = lines[2:]
-    if len(body) < n + m:
+    if len(lines) - 2 < n + m:
         raise ParseError(
-            f"{path}: expected {n} vertices and {m} faces, file has {len(body)} lines"
+            f"{path}: expected {n} vertices and {m} faces, file has {len(lines) - 2} lines"
         )
-    return TriMesh(_table(body[:n], path, float, 3), _triangles(body[n:n + m], path))
+    v, t = _table(lines[2:2 + n], path, float, 3), _triangles(lines[2 + n:2 + n + m], path)
+    del lines  # free the line list before TriMesh validation allocates
+    return TriMesh(v, t)
 
 
 def _serialize_off(mesh: TriMesh) -> str:

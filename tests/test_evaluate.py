@@ -1,16 +1,63 @@
 """Geodesic-error protocol, accuracy curves, and the error report format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fmapkit import evaluate, synth
+from fmapkit.cli import main
 from fmapkit.errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
 from fmapkit.evaluate import accuracy_curve, geodesic_error, write_error_report
 from fmapkit.fmap import PointMap
-from fmapkit.mesh import TriMesh
+from fmapkit.mesh import TriMesh, graph_geodesics, save_correspondence, save_mesh
 
 # swapping two adjacent unit-edge vertices on the regular tetrahedron:
 # error = 100 * edge / sqrt(total area) = 100 / 3**0.25
 TETRA_SWAP_ERR = 75.98356856515926
+
+# Share of entries the "25%-wrong" maps below send to a random vertex.
+WRONG_SHARE = 0.25
+
+
+def dense_errors(pred, gt, mesh):
+    """Reference errors from the full all-pairs table, indexed at (gt_i, pred_i)."""
+    table = graph_geodesics(mesh)
+    return table[np.asarray(gt), np.asarray(pred)] / np.sqrt(mesh.total_area()) * 100.0
+
+
+def disconnected_message(pred, gt, reference):
+    """The DisconnectedMesh message for the lowest entry the reference finds unreachable."""
+    bad = int(np.nonzero(np.isinf(reference))[0][0])
+    return f"vertices {pred[bad]} and {gt[bad]} lie in different components"
+
+
+def wrong_map(gt, n, seed, share=WRONG_SHARE):
+    """gt with `share` of its entries (on average) sent to random vertices."""
+    rng = np.random.default_rng(seed)
+    pred = np.array(gt, copy=True)
+    wrong = rng.random(len(pred)) < share
+    pred[wrong] = rng.integers(0, n, size=int(wrong.sum()))
+    return pred
+
+
+def block_bytes(rows, n):
+    """A _GEODESIC_BLOCK_BYTES that gives `rows` Dijkstra rows per block."""
+    return rows * 8 * n
+
+
+@pytest.fixture
+def geodesic_calls(monkeypatch):
+    """The sources of every graph_geodesics call geodesic_error makes."""
+    calls = []
+
+    def counting(mesh, sources=None):
+        calls.append(np.array(sources))
+        return graph_geodesics(mesh, sources)
+
+    monkeypatch.setattr(evaluate, "graph_geodesics", counting)
+    return calls
 
 
 class TestGeodesicError:
@@ -57,6 +104,99 @@ class TestGeodesicError:
     def test_disconnected_mesh_ok_within_component(self, disconnected):
         e = geodesic_error([1, 0, 2, 3, 4, 5], np.arange(6), disconnected)
         assert np.isfinite(e).all()
+
+
+class TestBlockedGeodesics:
+    """geodesic_error skips exact hits and runs Dijkstra in byte-capped blocks;
+    the values stay those of the full table."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])  # None: the default, one block
+    @settings(deadline=None, max_examples=12)
+    @given(name=st.sampled_from(["ico162", "mesh1", "disconnected"]),
+           seed=st.integers(0, 2**32 - 1), hit=st.floats(0.0, 1.0))
+    @example(name="mesh1", seed=0, hit=0.0)
+    @example(name="mesh1", seed=1, hit=1.0)
+    @example(name="disconnected", seed=2, hit=0.0)
+    def test_bit_equal_to_dense_table(self, ico162, pair, disconnected, rows,
+                                      name, seed, hit):
+        mesh = {"ico162": ico162, "mesh1": pair.mesh1, "disconnected": disconnected}[name]
+        n = mesh.n_vertices
+        rng = np.random.default_rng(seed)
+        gt = rng.integers(0, n, n)
+        pred = np.where(rng.random(n) < hit, gt, rng.integers(0, n, n))
+        reference = dense_errors(pred, gt, mesh)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(rows, n))
+            if np.isinf(reference).any():
+                with pytest.raises(DisconnectedMesh) as info:
+                    geodesic_error(pred, gt, mesh)
+                assert str(info.value) == disconnected_message(pred, gt, reference)
+            else:
+                assert np.array_equal(geodesic_error(pred, gt, mesh), reference)
+
+    def test_identity_runs_no_dijkstra(self, pair, geodesic_calls):
+        idx = np.arange(pair.mesh1.n_vertices)
+        assert geodesic_error(idx, idx, pair.mesh1).max() == 0.0
+        assert geodesic_calls == []
+
+    @pytest.mark.parametrize("rows", [7, None])
+    def test_sources_are_the_unique_missed_ground_truth(self, pair, geodesic_calls,
+                                                        monkeypatch, rows):
+        n = pair.mesh1.n_vertices
+        if rows is not None:
+            monkeypatch.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(rows, n))
+        pred = wrong_map(pair.perm, n, seed=21)
+        geodesic_error(pred, pair.perm, pair.mesh1)
+        expected = np.unique(pair.perm[pred != pair.perm])
+        assert expected.size > 0
+        assert all(len(c) <= (rows or n) for c in geodesic_calls)
+        assert np.array_equal(np.concatenate(geodesic_calls), expected)
+
+    def test_peak_memory_is_a_block_not_a_table(self, pair, monkeypatch):
+        mesh = pair.mesh1
+        n = mesh.n_vertices
+        monkeypatch.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(8, n))
+        pred = wrong_map(pair.perm, n, seed=22)
+        geodesic_error(pred, pair.perm, mesh)  # warm every lazy import first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            geodesic_error(pred, pair.perm, mesh)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
+
+
+class TestEvalCliBytes:
+    """`fmapkit eval` writes the same CSV bytes as the full-table reference."""
+
+    @pytest.fixture(scope="class")
+    def bumpy_pair(self, tmp_path_factory):
+        src = synth.bumpy_sphere(3, 0.12)
+        dst, gt = synth.permuted_copy(synth.bumpy_sphere(3, 0.18), seed=5)
+        root = tmp_path_factory.mktemp("evalbytes")
+        save_mesh(src, root / "src.off")
+        save_mesh(dst, root / "dst.off")
+        save_correspondence(gt, root / "gt.txt")
+        assert main(["match", "--src", str(root / "src.off"), "--dst", str(root / "dst.off"),
+                     "--out", str(root / "matched.txt")]) == 0
+        save_correspondence(wrong_map(gt, src.n_vertices, seed=23), root / "wrong.txt")
+        return root, src, gt
+
+    @pytest.mark.parametrize("pred_file", ["matched.txt", "wrong.txt"])
+    def test_csv_equals_dense_reference(self, bumpy_pair, tmp_path, capsys, pred_file):
+        root, src, gt = bumpy_pair
+        pred = np.loadtxt(root / pred_file, dtype=np.int64)
+        assert 0 < np.count_nonzero(pred != gt) < len(gt)
+        reference = dense_errors(pred, gt, src)
+        write_error_report(reference, tmp_path / "reference.csv")
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(root / pred_file), "--gt", str(root / "gt.txt"),
+                     "--mesh", str(root / "src.off"), "--out", str(tmp_path / "errors.csv")]) == 0
+        assert capsys.readouterr().out == f"mean={reference.mean():.6f}\n"
+        assert (tmp_path / "errors.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestAccuracyCurve:

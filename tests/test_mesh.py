@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from fmapkit import synth
+from fmapkit import mesh as mesh_module, synth
 from fmapkit.cli import load_landmark_pairs
 from fmapkit.descriptors import FeatureMatrix, load_features, save_features
 from fmapkit.errors import DegenerateMesh, FmapError, IndexOutOfRange, ParseError
@@ -298,6 +298,27 @@ class TestMatrixIO:
         path.write_text("1 2 fish\n")
         with pytest.raises(ParseError):
             load_matrix(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+    def test_chunked_conversion(self, tmp_path, monkeypatch, ico162, chunk):
+        monkeypatch.setattr(mesh_module, "_TABLE_CHUNK_ROWS", chunk)
+        a = np.random.default_rng(1).standard_normal((7, 3)) * 1e3
+        save_matrix(a, tmp_path / "m.txt")
+        back = load_matrix(tmp_path / "m.txt")
+        assert back.dtype == a.dtype and np.array_equal(back, a)
+        idx = np.array([5, 0, 2**63 - 1, 3, 3])
+        save_correspondence(idx, tmp_path / "c.txt")
+        back = load_correspondence(tmp_path / "c.txt")
+        assert back.dtype == idx.dtype and np.array_equal(back, idx)
+        save_mesh(ico162, tmp_path / "m.off")
+        mesh = load_mesh(tmp_path / "m.off")
+        assert np.array_equal(mesh.vertices, ico162.vertices)
+        assert np.array_equal(mesh.triangles, ico162.triangles)
+        lines = (tmp_path / "m.txt").read_text().splitlines()
+        lines[5] = "1 fish 2"
+        (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"m\.txt:6: expected numbers"):
+            load_matrix(tmp_path / "m.txt")
 
     @settings(deadline=None, max_examples=100)
     @given(

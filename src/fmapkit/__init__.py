@@ -43,7 +43,6 @@ from .spectral import (
     load_basis,
     save_basis,
     smooth_features,
-    smoothing_basis,
 )
 from .descriptors import (
     FeatureMatrix,

@@ -36,7 +36,8 @@ wrapped entry point named first:
 * fmap.loss_unsupervised, fmap.grad_unsupervised: k x k products
 * diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot),
   in the private `_basis_align` that the report and the oracle also call
-* diagnostics.rank_report: `svd`
+* diagnostics.rank_report: `svd`, in the private `_rank` that the oracle
+  also calls
 * diagnostics.theorem_oracle: `lstsq`, `c_opt @ a1`, `phi2 @ c_opt`, `norm`
 * synth.icosphere: 3-vector `norm` (ddot)
 * refine.refine_proper: `phi2 @ C` (adjoint mode), and the fmap calls

@@ -1,10 +1,11 @@
 """Command-line interface: match, eval, diagnose.
 
-Exit codes: 0 on success, 2 for usage problems (bad flags, k exceeding the
-vertex count), 3 for data problems (parse failures, degenerate meshes,
-disconnected components, rank failures, eigensolver failures). Given
-identical inputs and flags, every command writes byte-identical outputs at
-any BLAS thread count where fmapkit controls the BLAS (OpenBLAS; see
+An option left out takes its default from MatchConfig or DiagnoseConfig.
+Exit codes: 0 on success, 2 for usage problems (bad flags, out-of-range
+values, k exceeding the vertex count), 3 for data problems (parse failures,
+degenerate meshes, disconnected components, rank or eigensolver failures).
+Given identical inputs and flags, every command writes byte-identical outputs
+at any BLAS thread count where fmapkit controls the BLAS (OpenBLAS; see
 fmapkit._blas), and at a fixed thread count elsewhere. The bits still depend
 on the numpy/scipy/OpenBLAS build and on the CPU kernel OpenBLAS selects.
 """
@@ -33,7 +34,7 @@ from .descriptors import (
 from .diagnostics import build_structure_report, theorem_oracle
 from .errors import FmapError, InvalidK
 from .evaluate import geodesic_error, write_error_report
-from .fmap import convert_adjoint, convert_feature_nn, solve_fmap
+from .fmap import DEFAULT_MU, DEFAULT_TAU, convert_adjoint, convert_feature_nn, solve_fmap
 from .mesh import load_correspondence, load_mesh, read_table, save_correspondence
 from .refine import refine_proper
 from .spectral import build_laplacian, eigenbasis, smooth_features, _smoothing_size
@@ -43,34 +44,34 @@ REFINE_CHOICES = ("none", "proper-adjoint", "proper-feature")
 CONVERT_CHOICES = ("adjoint", "nn")
 
 
-@dataclass
-class MatchConfig:
+@dataclass(kw_only=True)
+class _PairConfig:
+    """Fields of the flags `match` and `diagnose` share; `desc` differs in default."""
+
     src: str
     dst: str
-    out: str
     k: int = 30
-    desc: str = "hks"
     smooth_j: int = 128
     smooth_t: float = 0.0
-    mu: float = 1e-3
+    mu: float = DEFAULT_MU
+
+
+@dataclass(kw_only=True)
+class MatchConfig(_PairConfig):
+    out: str
+    desc: str = "hks"
     refine: str = "none"
     refine_iters: int = 10
-    tau: float = 0.07
+    tau: float = DEFAULT_TAU
     convert: str = "adjoint"
     landmarks: str | None = None
     landmark_t: float = 0.1
 
 
-@dataclass
-class DiagnoseConfig:
-    src: str
-    dst: str
+@dataclass(kw_only=True)
+class DiagnoseConfig(_PairConfig):
     out: str | None = None
-    k: int = 30
     desc: str = "stack"
-    smooth_j: int = 128
-    smooth_t: float = 0.0
-    mu: float = 1e-3
     noise: float = 0.0
     seed: int = 0
 
@@ -95,42 +96,32 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id):
     return concat_features(parts)
 
 
-def _prepare_side(mesh, mesh_id, k, smooth_j, smooth_t, desc, landmarks, landmark_t):
-    """Laplacian, basis, smoothed + normalized descriptor stack for one shape."""
+def _prepare_side(mesh, mesh_id, cfg: _PairConfig, landmarks=(), landmark_t=None):
+    """Basis and smoothed + normalized descriptor stack for one shape."""
     lap = build_laplacian(mesh)
-    j = _smoothing_size(smooth_j, lap.n)
-    basis_full = eigenbasis(lap, max(k, j))
-    basis_k = basis_full.truncate(k)
+    j = _smoothing_size(cfg.smooth_j, lap.n)
+    basis_full = eigenbasis(lap, max(cfg.k, j))
+    basis_k = basis_full.truncate(cfg.k)
     basis_j = basis_full.truncate(j)
-    stack = _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id)
-    smoothed = smooth_features(basis_j, stack.values, smooth_t)
+    stack = _build_stack(mesh, basis_k, cfg.desc, landmarks, landmark_t, mesh_id)
+    smoothed = smooth_features(basis_j, stack.values, cfg.smooth_t)
     normalized = normalize_columns(smoothed, lap.mass)
-    feats = FeatureMatrix(normalized, stack.labels, mesh_id)
-    return lap, basis_k, feats
+    return basis_k, FeatureMatrix(normalized, stack.labels, mesh_id)
 
 
 def run_match(cfg: MatchConfig):
     """Full matching pipeline; returns (point_map, C, report)."""
-    mesh1 = load_mesh(cfg.src)
-    mesh2 = load_mesh(cfg.dst)
-    lm1, lm2 = ([], [])
-    if cfg.landmarks:
-        lm1, lm2 = load_landmark_pairs(cfg.landmarks)
-    _, basis1, f1 = _prepare_side(
-        mesh1, cfg.src, cfg.k, cfg.smooth_j, cfg.smooth_t, cfg.desc, lm1, cfg.landmark_t
-    )
-    _, basis2, f2 = _prepare_side(
-        mesh2, cfg.dst, cfg.k, cfg.smooth_j, cfg.smooth_t, cfg.desc, lm2, cfg.landmark_t
-    )
-    a1 = project_coeffs(basis1, f1)
-    a2 = project_coeffs(basis2, f2)
-    C = solve_fmap(a1, a2, basis1.lam, basis2.lam, cfg.mu)
-    if cfg.refine == "proper-adjoint":
+    mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
+    lm1, lm2 = load_landmark_pairs(cfg.landmarks) if cfg.landmarks else ([], [])
+    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg, lm1, cfg.landmark_t)
+    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg, lm2, cfg.landmark_t)
+    C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
+                   basis1.lam, basis2.lam, cfg.mu)
+    if cfg.refine != "none":
+        # adjoint mode ignores the descriptor stacks
         C, _ = refine_proper(C, basis1, basis2, iters=cfg.refine_iters,
-                             mode="adjoint", tau=cfg.tau)
-    elif cfg.refine == "proper-feature":
-        C, _ = refine_proper(C, basis1, basis2, iters=cfg.refine_iters,
-                             mode="feature", F1=f1.values, F2=f2.values, tau=cfg.tau)
+                             mode=cfg.refine.removeprefix("proper-"),
+                             F1=f1.values, F2=f2.values, tau=cfg.tau)
     if cfg.convert == "adjoint":
         pm = convert_adjoint(C, basis1.phi, basis2.phi)
     else:
@@ -138,29 +129,22 @@ def run_match(cfg: MatchConfig):
     save_correspondence(pm.indices, cfg.out)
     report = build_structure_report(C, basis1, basis2, f1, f2,
                                     adjoint=pm if cfg.convert == "adjoint" else None)
-    report_path = cfg.out + ".report"
-    Path(report_path).write_text(report.to_text())
+    Path(cfg.out + ".report").write_text(report.to_text())
     return pm, C, report
 
 
-def run_eval(pred_path, gt_path, mesh_path, out_path):
-    pred = load_correspondence(pred_path)
-    gt = load_correspondence(gt_path)
-    mesh = load_mesh(mesh_path)
-    errors = geodesic_error(pred, gt, mesh)
-    write_error_report(errors, out_path)
+def run_eval(pred, gt, mesh, out):
+    """Geodesic errors of map file `pred` against `gt` on `mesh`, as CSV `out`."""
+    errors = geodesic_error(load_correspondence(pred), load_correspondence(gt),
+                            load_mesh(mesh))
+    write_error_report(errors, out)
     return errors
 
 
 def run_diagnose(cfg: DiagnoseConfig):
-    mesh1 = load_mesh(cfg.src)
-    mesh2 = load_mesh(cfg.dst)
-    _, basis1, f1 = _prepare_side(
-        mesh1, cfg.src, cfg.k, cfg.smooth_j, cfg.smooth_t, cfg.desc, [], 0.1
-    )
-    lap2, basis2, f2 = _prepare_side(
-        mesh2, cfg.dst, cfg.k, cfg.smooth_j, cfg.smooth_t, cfg.desc, [], 0.1
-    )
+    mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
+    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg)
+    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg)
     if cfg.noise > 0:
         rng = np.random.default_rng(cfg.seed)
         scale = float(f2.values.std()) or 1.0
@@ -178,32 +162,51 @@ def run_diagnose(cfg: DiagnoseConfig):
     return verdict, report, text
 
 
+def _checked(kind, ok, bound):
+    """argparse type: `kind` of the text, which must pass `ok` (else exit 2)."""
+    def parse(text):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names the type in its errors
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "> 0")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
+_NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # No flag has a default of its own: an absent flag is absent from the
+    # namespace, so the config's field default applies.
+    no_defaults = {"argument_default": argparse.SUPPRESS}
+    shared = argparse.ArgumentParser(add_help=False, **no_defaults)
+    shared.add_argument("--src", required=True, help="source mesh (the map points INTO it)")
+    shared.add_argument("--dst", required=True, help="target mesh (one map entry per vertex)")
+    shared.add_argument("--k", type=int, help="spectral basis size")
+    shared.add_argument("--desc", choices=DESC_CHOICES)
+    shared.add_argument("--smooth-j", type=int,
+                        help="smoothing basis size (clamped to the vertex count)")
+    shared.add_argument("--smooth-t", type=_NONNEG, help="smoothing diffusion time")
+    shared.add_argument("--mu", type=_NONNEG, help="commutativity regularizer weight")
+
     parser = argparse.ArgumentParser(
         prog="fmapkit",
         description="Spectral functional-map shape correspondence toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    m = sub.add_parser("match", help="estimate a correspondence between two meshes")
-    m.add_argument("--src", required=True, help="source mesh (the map points INTO it)")
-    m.add_argument("--dst", required=True, help="target mesh (one map entry per vertex)")
+    m = sub.add_parser("match", parents=[shared], **no_defaults,
+                       help="estimate a correspondence between two meshes")
     m.add_argument("--out", required=True, help="output correspondence file")
-    m.add_argument("--k", type=int, default=30, help="spectral basis size")
-    m.add_argument("--desc", choices=DESC_CHOICES, default="hks")
-    m.add_argument("--smooth-j", type=int, default=128, dest="smooth_j",
-                   help="smoothing basis size (clamped to the vertex count)")
-    m.add_argument("--smooth-t", type=float, default=0.0, dest="smooth_t",
-                   help="smoothing diffusion time")
-    m.add_argument("--mu", type=float, default=1e-3,
-                   help="commutativity regularizer weight")
-    m.add_argument("--refine", choices=REFINE_CHOICES, default="none")
-    m.add_argument("--refine-iters", type=int, default=10, dest="refine_iters")
-    m.add_argument("--tau", type=float, default=0.07, help="soft map temperature")
-    m.add_argument("--convert", choices=CONVERT_CHOICES, default="adjoint")
-    m.add_argument("--landmarks", default=None,
-                   help="file of 'i j' landmark pairs (src dst)")
-    m.add_argument("--landmark-t", type=float, default=0.1, dest="landmark_t")
+    m.add_argument("--refine", choices=REFINE_CHOICES)
+    m.add_argument("--refine-iters", type=_POSITIVE_INT)
+    m.add_argument("--tau", type=_POSITIVE, help="soft map temperature")
+    m.add_argument("--convert", choices=CONVERT_CHOICES)
+    m.add_argument("--landmarks", help="file of 'i j' landmark pairs (src dst)")
+    m.add_argument("--landmark-t", type=_NONNEG)
 
     e = sub.add_parser("eval", help="geodesic-error evaluation of a correspondence")
     e.add_argument("--pred", required=True)
@@ -212,45 +215,28 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="the mesh both correspondences index into")
     e.add_argument("--out", required=True, help="output CSV")
 
-    d = sub.add_parser("diagnose", help="exactness oracle + structure report")
-    d.add_argument("--src", required=True)
-    d.add_argument("--dst", required=True)
-    d.add_argument("--out", default=None)
-    d.add_argument("--k", type=int, default=30)
-    d.add_argument("--desc", choices=DESC_CHOICES, default="stack")
-    d.add_argument("--smooth-j", type=int, default=128, dest="smooth_j")
-    d.add_argument("--smooth-t", type=float, default=0.0, dest="smooth_t")
-    d.add_argument("--mu", type=float, default=1e-3)
-    d.add_argument("--noise", type=float, default=0.0,
+    d = sub.add_parser("diagnose", parents=[shared], **no_defaults,
+                       help="exactness oracle + structure report")
+    d.add_argument("--out")
+    d.add_argument("--noise", type=_NONNEG,
                    help="relative gaussian noise injected into the target stack")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_NONNEG_INT)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    opts = vars(_build_parser().parse_args(argv))
+    command = opts.pop("command")
     try:
-        if args.command == "match":
-            cfg = MatchConfig(
-                src=args.src, dst=args.dst, out=args.out, k=args.k, desc=args.desc,
-                smooth_j=args.smooth_j, smooth_t=args.smooth_t, mu=args.mu,
-                refine=args.refine, refine_iters=args.refine_iters, tau=args.tau,
-                convert=args.convert, landmarks=args.landmarks,
-                landmark_t=args.landmark_t,
-            )
+        if command == "match":
+            cfg = MatchConfig(**opts)
             pm, _, _ = run_match(cfg)
             print(f"wrote {cfg.out} ({pm.n_target} vertices) and {cfg.out}.report")
-        elif args.command == "eval":
-            errors = run_eval(args.pred, args.gt, args.mesh, args.out)
+        elif command == "eval":
+            errors = run_eval(**opts)
             print(f"mean={float(errors.mean()):.6f}")
-        elif args.command == "diagnose":
-            cfg = DiagnoseConfig(
-                src=args.src, dst=args.dst, out=args.out, k=args.k, desc=args.desc,
-                smooth_j=args.smooth_j, smooth_t=args.smooth_t, mu=args.mu,
-                noise=args.noise, seed=args.seed,
-            )
-            _, _, text = run_diagnose(cfg)
+        else:
+            _, _, text = run_diagnose(DiagnoseConfig(**opts))
             print(text, end="")
     except InvalidK as exc:
         print(f"fmapkit: usage error: {exc}", file=sys.stderr)

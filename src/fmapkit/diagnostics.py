@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._blas import single_threaded
-from .errors import LengthMismatch, ParseError, ZeroFeatures
+from .errors import LengthMismatch, ZeroFeatures
 from .fmap import (
     RANK_RTOL,
     PointMap,
@@ -76,20 +76,19 @@ def _basis_align(C, adjoint: PointMap, phi1, phi2) -> float:
     return float(np.linalg.norm(phi2 @ C - phi1[adjoint.indices]))
 
 
+def _rank(x) -> int:
+    """Numerical rank: singular values above 1e-10 x the largest one count."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return 0
+    s = np.linalg.svd(x, compute_uv=False)
+    return 0 if s[0] == 0 else int(np.sum(s > RANK_RTOL * s[0]))
+
+
 @single_threaded()
 def rank_report(F, A) -> tuple[int, int]:
-    """Numerical ranks of the descriptor stack and its coefficients.
-
-    Singular values above 1e-10 x the largest one count toward the rank.
-    """
-    def _rank(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.size == 0:
-            return 0
-        s = np.linalg.svd(x, compute_uv=False)
-        return 0 if s[0] == 0 else int(np.sum(s > RANK_RTOL * s[0]))
-
-    return _rank(_feature_values(F)), _rank(np.asarray(A))
+    """Numerical ranks of the descriptor stack and its coefficients."""
+    return _rank(_feature_values(F)), _rank(A)
 
 
 def nn_distinctness(features) -> float:
@@ -207,7 +206,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
 
     comp1 = measure_completeness(basis1, v1)
     comp2 = measure_completeness(basis2, v2)
-    rank_a1 = rank_report(v1, a1)[1]
+    rank_a1 = _rank(a1)
     distinct_gap = nn_distinctness(v1)
     scale1 = float(np.abs(v1).max()) or 1.0
     rows_distinct = bool(distinct_gap > 1e-12 * scale1)
@@ -260,27 +259,6 @@ class StructureReport:
             val = getattr(self, f.name)
             out.append(f"{f.name}={_fmt(val) if isinstance(val, float) else val}")
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StructureReport":
-        data = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            data[key] = val
-        try:
-            return cls(
-                completeness=float(data["completeness"]),
-                properness_residual=float(data["properness_residual"]),
-                basis_align_chamfer=float(data["basis_align_chamfer"]),
-                rank_F=int(data["rank_F"]),
-                rank_A=int(data["rank_A"]),
-                nn_distinctness=float(data["nn_distinctness"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"malformed structure report: {exc}") from exc
 
 
 @single_threaded()

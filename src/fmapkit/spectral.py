@@ -254,11 +254,6 @@ def _smoothing_size(j: int, n: int) -> int:
     return j
 
 
-def smoothing_basis(lap: LaplacianPair, j: int) -> SpectralBasis:
-    """Eigenbasis of size j for feature smoothing, clamped to n with a warning."""
-    return eigenbasis(lap, _smoothing_size(j, lap.n))
-
-
 def diffuse(basis: SpectralBasis, f: np.ndarray, t: float) -> np.ndarray:
     """Heat diffusion Phi exp(-t lambda) Phi^T M f for t >= 0.
 

@@ -1,5 +1,7 @@
 """End-to-end command-line tests: match, eval, diagnose, exit codes."""
 
+import argparse
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from fmapkit import cli, diagnostics, spectral, synth
-from fmapkit.cli import MatchConfig, load_landmark_pairs, main, run_match
-from fmapkit.diagnostics import StructureReport
+from fmapkit.cli import DiagnoseConfig, MatchConfig, load_landmark_pairs, main, run_match
+from fmapkit.errors import InvalidK
 from fmapkit.fmap import convert_adjoint
 from fmapkit.mesh import save_correspondence, save_mesh
 
@@ -55,6 +57,10 @@ def match_args(fx, out, **overrides):
     return args
 
 
+def key_values(text):
+    return dict(line.split("=", 1) for line in text.strip().splitlines() if "=" in line)
+
+
 class TestMatch:
     def test_exact_recovery_and_outputs(self, small_pair, tmp_path, capsys):
         out = tmp_path / "map.txt"
@@ -63,8 +69,7 @@ class TestMatch:
         assert printed == f"wrote {out} (162 vertices) and {out}.report\n"
         pred = np.array([int(l) for l in out.read_text().split()])
         assert np.array_equal(pred, small_pair.perm)
-        report = StructureReport.from_text((tmp_path / "map.txt.report").read_text())
-        assert report.rank_A == 25
+        assert key_values((tmp_path / "map.txt.report").read_text())["rank_A"] == "25"
 
     def test_converters_agree_byte_for_byte(self, small_pair, tmp_path):
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -105,6 +110,15 @@ class TestMatch:
         pred = np.array([int(l) for l in out.read_text().split()])
         assert np.array_equal(pred, small_pair.perm)
 
+    def test_smooth_j_above_vertex_count_clamps_with_warning(self, tetra, tmp_path):
+        mesh = tmp_path / "tetra.off"
+        save_mesh(tetra, mesh)
+        with pytest.warns(UserWarning, match="clamp") as record:
+            run_match(MatchConfig(src=str(mesh), dst=str(mesh), out=str(tmp_path / "m.txt"),
+                                  k=3, desc="xyz", smooth_j=10))
+        # the warning points into the CLI pipeline, not into spectral.py
+        assert [w.filename for w in record] == [cli.__file__] * 2
+
     def test_default_config_values(self):
         cfg = MatchConfig(src="a", dst="b", out="c")
         assert (cfg.k, cfg.desc, cfg.mu) == (30, "hks", 1e-3)
@@ -144,8 +158,7 @@ class TestDiagnose:
         assert rc == 0
         text = out.read_text()
         assert capsys.readouterr().out == text
-        data = dict(line.split("=", 1)
-                    for line in text.strip().splitlines() if "=" in line)
+        data = key_values(text)
         for key in ("all_pass", "agreement", "completeness", "rank_A"):
             assert key in data
 
@@ -153,9 +166,7 @@ class TestDiagnose:
         rc = main(["diagnose", "--src", str(small_pair.src),
                    "--dst", str(small_pair.dst), "--k", "25", "--noise", "0.5"])
         assert rc == 0
-        data = dict(line.split("=", 1)
-                    for line in capsys.readouterr().out.strip().splitlines()
-                    if "=" in line)
+        data = key_values(capsys.readouterr().out)
         assert float(data["completeness2"]) < 0.999
         assert data["preconditions_ok"] == "false"
 
@@ -234,6 +245,26 @@ class TestExitCodes:
                 main(argv + ["--seed", "1"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, flags", [
+        ("match", ["--refine-iters", "0"]),
+        ("match", ["--tau", "0"]),
+        ("match", ["--mu", "-1"]),
+        ("match", ["--smooth-t", "-1"]),
+        ("match", ["--landmark-t", "-1", "--landmarks", "lm.txt"]),
+        ("diagnose", ["--noise", "-1"]),
+        ("diagnose", ["--seed", "-1"]),
+    ])
+    def test_out_of_range_value_is_usage_error(self, small_pair, tmp_path, capsys,
+                                               command, flags):
+        argv = [command, "--src", str(small_pair.src), "--dst", str(small_pair.dst),
+                "--out", str(tmp_path / "o.txt"), *flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[0]}: must be" in err
+        assert "Traceback" not in err
+
     def test_bad_choice_raises_systemexit(self, small_pair, tmp_path):
         with pytest.raises(SystemExit):
             main(match_args(small_pair, tmp_path / "o.txt", desc="sift"))
@@ -252,3 +283,42 @@ class TestLandmarkParsing:
         path.write_text("0 x\n")
         with pytest.raises(ParseError):
             load_landmark_pairs(path)
+
+
+def subparser(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestOneDeclaration:
+    """Each option is declared once: as a flag, and as a config field with its default."""
+
+    @pytest.mark.parametrize("command, config", [("match", MatchConfig),
+                                                 ("diagnose", DiagnoseConfig)])
+    def test_flags_are_the_config_fields(self, command, config):
+        dests = {a.dest for a in subparser(command)._actions} - {"help"}
+        assert dests == {f.name for f in fields(config)}
+
+    @pytest.mark.parametrize("command, runner, config", [
+        ("match", "run_match", MatchConfig(src="a", dst="b", out="c")),
+        ("diagnose", "run_diagnose", DiagnoseConfig(src="a", dst="b")),
+    ])
+    def test_absent_flags_take_config_defaults(self, monkeypatch, command, runner, config):
+        seen = []
+
+        def spy(cfg):   # records the config, then stops main before any work
+            seen.append(cfg)
+            raise InvalidK("stop")
+
+        monkeypatch.setattr(cli, runner, spy)
+        argv = [command, "--src", "a", "--dst", "b"] + (["--out", "c"] if config.out else [])
+        assert main(argv) == 2
+        assert seen == [config]
+
+    @pytest.mark.parametrize("command", ["match", "eval", "diagnose"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: fmapkit {command}")

@@ -21,7 +21,7 @@ from fmapkit.diagnostics import (
     rank_report,
     theorem_oracle,
 )
-from fmapkit.errors import LengthMismatch, ParseError, ZeroFeatures
+from fmapkit.errors import LengthMismatch, ZeroFeatures
 from fmapkit.fmap import PointMap, convert_adjoint, soft_map
 from fmapkit.spectral import eigenbasis
 
@@ -218,19 +218,6 @@ class TestTheoremOracle:
 
 
 class TestStructureReport:
-    def test_round_trip(self):
-        rep = StructureReport(
-            completeness=0.875, properness_residual=1.25e-3,
-            basis_align_chamfer=0.5, rank_F=30, rank_A=25,
-            nn_distinctness=0.125,
-        )
-        back = StructureReport.from_text(rep.to_text())
-        assert back == rep
-
-    def test_malformed_raises(self):
-        with pytest.raises(ParseError):
-            StructureReport.from_text("completeness=0.5\n")
-
     def test_build_on_clean_fixture(self, pair, complete_features):
         F1, F2 = complete_features
         rep = build_structure_report(pair.C_gt, pair.basis1, pair.basis2, F1, F2)

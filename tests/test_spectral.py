@@ -30,7 +30,6 @@ from fmapkit.spectral import (
     load_basis,
     save_basis,
     smooth_features,
-    smoothing_basis,
 )
 
 # pinned from oracles.generalized_eigs_ref on the law-of-cosines assembly,
@@ -226,12 +225,6 @@ class TestDiffusion:
         basis = eigenbasis(build_laplacian(ico162), 4)
         with pytest.raises(ValueError):
             smooth_features(basis, np.zeros(162), 0.1)
-
-    def test_smoothing_basis_clamps_with_warning(self, tetra):
-        lap = build_laplacian(tetra)
-        with pytest.warns(UserWarning, match="clamp"):
-            basis = smoothing_basis(lap, 10)
-        assert basis.k == 4
 
 
 @pytest.fixture(scope="module")

@@ -191,13 +191,15 @@ class OracleVerdict:
 
 @single_threaded()
 def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
-                   n_probe_maps: int = 10, seed: int = 0) -> OracleVerdict:
+                   n_probe_maps: int = 10, seed: int = 0,
+                   distinctness1: float | None = None) -> OracleVerdict:
     """Measure every hypothesis and consequence of exact recovery.
 
     C_opt is the minimum-norm least-squares solution of C A1 = A2 (computed
     with lstsq so rank deficiency is reported, not raised). The residual and
     chamfer are normalized by the scale of their targets so the 1e-8
-    verdict thresholds mean the same thing across fixtures.
+    verdict thresholds mean the same thing across fixtures. A caller that
+    already holds nn_distinctness(F1) passes it as `distinctness1`.
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
     a1 = basis1.project(v1)
@@ -207,7 +209,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     comp1 = measure_completeness(basis1, v1)
     comp2 = measure_completeness(basis2, v2)
     rank_a1 = _rank(a1)
-    distinct_gap = nn_distinctness(v1)
+    distinct_gap = nn_distinctness(v1) if distinctness1 is None else distinctness1
     scale1 = float(np.abs(v1).max()) or 1.0
     rows_distinct = bool(distinct_gap > 1e-12 * scale1)
 
@@ -264,14 +266,16 @@ class StructureReport:
 @single_threaded()
 def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
                            basis2: SpectralBasis, F1, F2,
-                           adjoint: PointMap | None = None) -> StructureReport:
+                           adjoint: PointMap | None = None,
+                           distinctness1: float | None = None) -> StructureReport:
     """Assemble the per-pair report; completeness is the worse of two sides.
 
     The properness residual and the basis-aligning chamfer both need C's
     adjoint pointwise map, convert_adjoint(C, basis1.phi, basis2.phi).
     A caller that already holds that map passes it as `adjoint`, so the
     report makes no nearest-neighbour search of its own; without it, the
-    report converts C once and uses the result for both measures. The
+    report converts C once and uses the result for both measures. Likewise
+    `distinctness1` is nn_distinctness(F1) if the caller holds it. The
     report text is the same either way.
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
@@ -280,6 +284,8 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
     rank_f, rank_a = rank_report(v1, a1)
     if adjoint is None:
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
+    if distinctness1 is None:
+        distinctness1 = nn_distinctness(v1)
     return StructureReport(
         completeness=comp,
         properness_residual=_properness(
@@ -288,5 +294,5 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
         basis_align_chamfer=_basis_align(C, adjoint, basis1.phi, basis2.phi),
         rank_F=rank_f,
         rank_A=rank_a,
-        nn_distinctness=nn_distinctness(v1),
+        nn_distinctness=distinctness1,
     )

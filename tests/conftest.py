@@ -10,11 +10,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fmapkit import synth
+from fmapkit import cli, synth
 from fmapkit.spectral import build_laplacian, eigenbasis
 
 K = 30
 FEATURE_DIM = 60
+
+
+@pytest.fixture(autouse=True)
+def cold_side_cache():
+    """Every test starts with no prepared side left over from an earlier one."""
+    cli._sides.clear()
 
 
 @pytest.fixture(scope="session")

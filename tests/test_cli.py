@@ -1,7 +1,10 @@
 """End-to-end command-line tests: match, eval, diagnose, exit codes."""
 
 import argparse
-from dataclasses import fields
+import re
+import sys
+import threading
+from dataclasses import MISSING, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +12,17 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from fmapkit import cli, diagnostics, spectral, synth
-from fmapkit.cli import DiagnoseConfig, MatchConfig, load_landmark_pairs, main, run_match
+from fmapkit.cli import (
+    DiagnoseConfig,
+    MatchConfig,
+    load_landmark_pairs,
+    main,
+    run_diagnose,
+    run_match,
+)
 from fmapkit.errors import InvalidK
 from fmapkit.fmap import convert_adjoint
-from fmapkit.mesh import save_correspondence, save_mesh
+from fmapkit.mesh import load_mesh, save_correspondence, save_mesh
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +69,19 @@ def match_args(fx, out, **overrides):
 
 def key_values(text):
     return dict(line.split("=", 1) for line in text.strip().splitlines() if "=" in line)
+
+
+def spy(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records, per call, how many
+    prepared sides were cached when it ran."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(len(cli._sides))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 class TestMatch:
@@ -270,6 +293,143 @@ class TestExitCodes:
             main(match_args(small_pair, tmp_path / "o.txt", desc="sift"))
 
 
+class TestSideCache:
+    """A shape prepared once is reused, with the bytes a fresh preparation gives."""
+
+    @pytest.mark.parametrize("argv", [
+        ["match"],
+        ["match", "--desc", "stack", "--refine", "proper-adjoint"],
+        ["diagnose"],
+        ["diagnose", "--noise", "0.5"],
+    ])
+    def test_warm_run_writes_cold_bytes(self, small_pair, tmp_path, monkeypatch, capsys,
+                                        argv):
+        solves = spy(monkeypatch, cli, "eigenbasis")
+        runs = []
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{run}.txt"
+            assert main([*argv, "--src", str(small_pair.src), "--dst", str(small_pair.dst),
+                         "--out", str(out)]) == 0
+            files = [out, tmp_path / f"{run}.txt.report"] if argv[0] == "match" else [out]
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            runs.append([stdout] + [f.read_bytes() for f in files])
+            assert len(solves) == 2    # both sides solved on the cold run only
+        assert runs[0] == runs[1]
+
+    def test_each_keyed_input_misses(self, small_pair):
+        mesh = load_mesh(small_pair.src)
+        cfg = MatchConfig(src="a", dst="b", out="c")
+        args = {"mesh_id": "a", "landmarks": [0, 1, 2], "landmark_t": 0.1}
+
+        def prepare(cfg, **changed):
+            return cli._prepare_side(mesh, cfg=cfg, **{**args, **changed})
+
+        first = prepare(cfg)
+        for changed in [{"mesh_id": "b"}, {"landmarks": [0, 1, 3]}, {"landmark_t": 0.2}]:
+            assert prepare(cfg, **changed) is not first
+            assert prepare(cfg) is first
+        for name, value in [("k", 20), ("smooth_j", 100), ("smooth_t", 0.5),
+                            ("desc", "stack")]:
+            assert prepare(replace(cfg, **{name: value})) is not first
+            assert prepare(cfg) is first
+        # the rest of the config does not shape a side
+        for name, value in [("src", "x"), ("dst", "y"), ("out", "z"), ("mu", 0.5),
+                            ("tau", 0.5), ("refine", "proper-adjoint"),
+                            ("refine_iters", 3), ("convert", "nn")]:
+            assert prepare(replace(cfg, **{name: value})) is first
+        # the key holds the clamped smoothing size; each call still warns
+        with pytest.warns(UserWarning, match="clamp") as record:
+            clamped = prepare(replace(cfg, smooth_j=500))
+            assert prepare(replace(cfg, smooth_j=600)) is clamped
+        assert len(record) == 2
+
+    def test_mesh_rewritten_in_place_misses(self, small_pair, tmp_path):
+        src = tmp_path / "src.off"
+
+        def match(out):
+            assert main(["match", "--src", str(src), "--dst", str(small_pair.dst),
+                         "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out).read_bytes(), (tmp_path / f"{out}.report").read_bytes()
+
+        save_mesh(synth.icosphere(2), src)
+        before = match("before.txt")
+        save_mesh(synth.bumpy_sphere(2), src)   # same path and vertex count
+        after = match("after.txt")
+        cli._sides.clear()
+        assert after == match("cold.txt")
+        assert after != before
+
+    def test_cached_arrays_are_read_only(self, small_pair):
+        side = cli._prepare_side(load_mesh(small_pair.src), "a",
+                                 DiagnoseConfig(src="a", dst="b"))
+        for arr in (side.basis.lam, side.basis.phi, side.basis.mass,
+                    side.features.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_size_is_bounded_and_eviction_comes_before_the_solve(self, small_pair,
+                                                                 monkeypatch):
+        solves = spy(monkeypatch, cli, "eigenbasis")
+        mesh = load_mesh(small_pair.src)
+        for k in (5, 6, 5, 7, 5, 8):
+            cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", k=k))
+            assert len(cli._sides) <= cli.SIDE_CACHE_SIZE
+        # least recently used goes first, so k = 5 is never evicted
+        assert len(solves) == 4
+        assert max(solves) == cli.SIDE_CACHE_SIZE - 1
+
+    def test_threads_share_the_cache_safely(self, small_pair, monkeypatch):
+        # stand-in key and build, so the threads spend their time in the cache logic
+        monkeypatch.setattr(cli, "_side_key", lambda mesh, mesh_id, cfg, *rest: cfg.k)
+        monkeypatch.setattr(cli, "_build_side", lambda mesh, mesh_id, cfg, *rest:
+                            cli.PreparedSide(SimpleNamespace(k=cfg.k), None))
+        mesh = load_mesh(small_pair.src)
+        errors, wrong = [], []
+
+        def work(offset):
+            try:
+                for i in range(20000):
+                    k = 5 + (i + offset) % 3
+                    side = cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", k=k))
+                    if side.basis.k != k:
+                        wrong.append((k, side.basis.k))
+            except Exception as exc:   # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (errors, wrong) == ([], [])
+        assert len(cli._sides) <= cli.SIDE_CACHE_SIZE
+
+    def test_diagnose_computes_distinctness_once(self, small_pair, monkeypatch):
+        distinct = spy(monkeypatch, diagnostics, "nn_distinctness")
+        run_diagnose(DiagnoseConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                                    noise=0.5))
+        assert len(distinct) == 1
+
+    def test_second_match_of_a_source_prepares_only_the_target(self, small_pair,
+                                                               tmp_path, monkeypatch):
+        other = tmp_path / "other.off"
+        save_mesh(synth.permuted_copy(synth.icosphere(2), seed=5)[0], other)
+        cfg = MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                          out=str(tmp_path / "map.txt"), desc="stack",
+                          refine="proper-adjoint")
+        run_match(cfg)
+        distinct = spy(monkeypatch, diagnostics, "nn_distinctness")
+        solves = spy(monkeypatch, cli, "eigenbasis")
+        run_match(replace(cfg, dst=str(other)))
+        assert (len(distinct), len(solves)) == (0, 1)
+
+
 class TestLandmarkParsing:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "lm.txt"
@@ -315,6 +475,23 @@ class TestOneDeclaration:
         argv = [command, "--src", "a", "--dst", "b"] + (["--out", "c"] if config.out else [])
         assert main(argv) == 2
         assert seen == [config]
+
+    @pytest.mark.parametrize("command, config, desc", [("match", MatchConfig, "hks"),
+                                                       ("diagnose", DiagnoseConfig, "stack")])
+    def test_help_shows_config_defaults(self, command, config, desc, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        entries = {}   # flag -> its help entry, whitespace collapsed
+        for chunk in re.split(r"\n  (?=-)", options.strip()):
+            entries[chunk.split()[0]] = " ".join(chunk.split())
+        assert entries["--desc"].endswith(f"(default: {desc})")
+        for f in fields(config):
+            entry = entries["--" + f.name.replace("_", "-")]
+            if f.default is MISSING or f.default is None:
+                assert "(default:" not in entry
+            else:
+                assert entry.endswith(f"(default: {f.default})")
 
     @pytest.mark.parametrize("command", ["match", "eval", "diagnose"])
     def test_help_exits_zero(self, command, capsys):

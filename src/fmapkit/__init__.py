@@ -40,8 +40,6 @@ from .spectral import (
     diffuse,
     eigen_residuals,
     eigenbasis,
-    load_basis,
-    save_basis,
     smooth_features,
 )
 from .descriptors import (
@@ -53,23 +51,19 @@ from .descriptors import (
     descriptor_landmarks,
     descriptor_wks,
     descriptor_xyz,
-    load_features,
     normalize_columns,
     project_coeffs,
-    save_features,
 )
 from .fmap import (
     PointMap,
     convert_adjoint,
     convert_feature_nn,
     grad_unsupervised,
-    load_fmap,
     loss_properness,
     loss_supervised,
     loss_unsupervised,
     nearest_rows,
     properness_project,
-    save_fmap,
     soft_map,
     solve_fmap,
 )

@@ -34,8 +34,8 @@ wrapped entry point named first:
 * fmap.soft_map: `v2 @ v1.T`
 * fmap.properness_project: `phi2.T @ (m2 * pulled)`
 * fmap.loss_unsupervised, fmap.grad_unsupervised: k x k products
-* diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot),
-  in the private `_basis_align` that the report and the oracle also call
+* diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot);
+  the report and the oracle also call it
 * diagnostics.rank_report: `svd`, in the private `_rank` that the oracle
   also calls
 * diagnostics.theorem_oracle: `lstsq`, `c_opt @ a1`, `phi2 @ c_opt`, `norm`

@@ -16,7 +16,7 @@ from .errors import (
     LengthMismatch,
     ZeroFeatures,
 )
-from .mesh import TriMesh, read_table, write_table
+from .mesh import TriMesh
 from .spectral import SpectralBasis, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
@@ -166,10 +166,9 @@ def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float,
             raise IndexOutOfRange(f"landmark {l} outside [0, {n})")
     if not landmarks:
         return FeatureMatrix(np.zeros((n, 0)), (), mesh_id)
-    mass = basis._need_mass()
     spikes = np.zeros((n, len(landmarks)))
     for col, l in enumerate(landmarks):
-        spikes[l, col] = 1.0 / mass[l]
+        spikes[l, col] = 1.0 / basis.mass[l]
     vals = diffuse(basis, spikes, t)
     return FeatureMatrix(vals, tuple(f"lm_v{l}" for l in landmarks), mesh_id)
 
@@ -199,11 +198,3 @@ def normalize_columns(values: np.ndarray, mass: np.ndarray,
     safe = np.where(zero, 1.0, norms)
     return values / safe
 
-
-def save_features(features: FeatureMatrix, path) -> None:
-    """'FEAT n d' header, then n rows of d decimals (labels are not stored)."""
-    write_table(features.values, path, header=f"FEAT {features.n} {features.d}")
-
-
-def load_features(path) -> FeatureMatrix:
-    return FeatureMatrix(read_table(path, "feature", tag="FEAT"))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._blas import single_threaded
 from .errors import LengthMismatch, ZeroFeatures
@@ -26,8 +25,8 @@ from .fmap import (
     convert_feature_nn,
     loss_properness,
     properness_project,
-    _NN_BLOCK,
     _feature_values,
+    _nearest,
 )
 from .mesh import _fmt
 from .spectral import SpectralBasis
@@ -44,7 +43,7 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
     values = _feature_values(features)
     if values.shape[0] != basis.n:
         raise LengthMismatch(f"{values.shape[0]} rows for {basis.n} vertices")
-    mass = basis._need_mass()
+    mass = basis.mass
     den = float(np.einsum("n,nd->", mass, values ** 2))
     if den == 0.0:
         raise ZeroFeatures("completeness is undefined for an all-zero stack")
@@ -54,25 +53,29 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
 
 
 def measure_properness(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                       mass2: np.ndarray) -> float:
-    """||C - C_proper||_F^2 with C_proper built from C's own adjoint map."""
-    return _properness(C, convert_adjoint(C, phi1, phi2), phi1, phi2, mass2)
+                       mass2: np.ndarray, adjoint: PointMap | None = None) -> float:
+    """||C - C_proper||_F^2 with C_proper built from C's own adjoint map.
 
-
-def _properness(C, adjoint: PointMap, phi1, phi2, mass2) -> float:
+    A caller that holds that map, convert_adjoint(C, phi1, phi2), passes it
+    as `adjoint`; the value is the same either way.
+    """
+    if adjoint is None:
+        adjoint = convert_adjoint(C, phi1, phi2)
     return loss_properness(C, properness_project(adjoint, phi1, phi2, mass2))
 
 
 @single_threaded()
-def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> float:
-    """One-way chamfer ||Phi2 C - Pi Phi1||_F for the nearest-row map Pi."""
-    return _basis_align(C, convert_adjoint(C, phi1, phi2), phi1, phi2)
+def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+                           adjoint: PointMap | None = None) -> float:
+    """One-way chamfer ||Phi2 C - Pi Phi1||_F for the nearest-row map Pi.
 
-
-def _basis_align(C, adjoint: PointMap, phi1, phi2) -> float:
+    Pi is C's adjoint map; `adjoint` passes it as in measure_properness.
+    """
     C = np.asarray(C, dtype=np.float64)
     phi1 = np.asarray(phi1, dtype=np.float64)
     phi2 = np.asarray(phi2, dtype=np.float64)
+    if adjoint is None:
+        adjoint = convert_adjoint(C, phi1, phi2)
     return float(np.linalg.norm(phi2 @ C - phi1[adjoint.indices]))
 
 
@@ -94,17 +97,9 @@ def rank_report(F, A) -> tuple[int, int]:
 def nn_distinctness(features) -> float:
     """Mean distance from each descriptor row to its nearest other row."""
     values = _feature_values(features)
-    n = len(values)
-    if n < 2:
+    if len(values) < 2:
         raise LengthMismatch("need at least two rows")
-    best = np.empty(n)
-    for start in range(0, n, _NN_BLOCK):
-        block = values[start:start + _NN_BLOCK]
-        d = cdist(block, values)
-        for i in range(len(block)):
-            d[i, start + i] = np.inf
-        best[start:start + _NN_BLOCK] = d.min(axis=1)
-    return float(best.mean())
+    return float(np.sqrt(_nearest(values, values, skip_self=True)[1]).mean())
 
 
 def energy_terms(pi: PointMap, F1, F2, basis2: SpectralBasis):
@@ -118,13 +113,27 @@ def energy_terms(pi: PointMap, F1, F2, basis2: SpectralBasis):
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
     x = pi.apply(v1) - v2
-    mass = basis2._need_mass()
+    mass = basis2.mass
     e = float(np.einsum("n,nd->", mass, x ** 2))
     coeffs = basis2.project(x)
     e1 = float(np.sum(coeffs ** 2))
     resid = x - basis2.reconstruct(coeffs)
     e2 = float(np.einsum("n,nd->", mass, resid ** 2))
     return e, e1, e2
+
+
+def _key_values(record, *extra: str) -> str:
+    """A dataclass's fields, then the `extra` attributes, as key=value lines.
+
+    Bools are written in lower case, floats with _fmt, ints plain.
+    """
+    def text(val) -> str:
+        if isinstance(val, bool):
+            return str(val).lower()
+        return _fmt(val) if isinstance(val, float) else str(val)
+
+    keys = [f.name for f in fields(record)] + list(extra)
+    return "".join(f"{key}={text(getattr(record, key))}\n" for key in keys)
 
 
 @dataclass
@@ -175,18 +184,8 @@ class OracleVerdict:
         return self.preconditions_ok and self.consequences_ok and self.agreement == 1.0
 
     def to_text(self) -> str:
-        keys = [f.name for f in fields(self)]
-        keys += ["full_row_rank", "preconditions_ok", "consequences_ok", "all_pass"]
-        out = []
-        for key in keys:
-            val = getattr(self, key)
-            if isinstance(val, bool):
-                out.append(f"{key}={str(val).lower()}")
-            elif isinstance(val, float):
-                out.append(f"{key}={_fmt(val)}")
-            else:
-                out.append(f"{key}={val}")
-        return "\n".join(out) + "\n"
+        return _key_values(self, "full_row_rank", "preconditions_ok",
+                           "consequences_ok", "all_pass")
 
 
 @single_threaded()
@@ -216,7 +215,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     resid = float(np.linalg.norm(c_opt @ a1 - a2)) / max(1.0, float(np.linalg.norm(a2)))
     adj = convert_adjoint(c_opt, basis1.phi, basis2.phi)
     emb = basis2.phi @ c_opt
-    align = _basis_align(c_opt, adj, basis1.phi, basis2.phi) \
+    align = measure_basis_aligning(c_opt, basis1.phi, basis2.phi, adj) \
         / max(1.0, float(np.linalg.norm(emb)))
 
     nn = convert_feature_nn(v1, v2)
@@ -256,11 +255,7 @@ class StructureReport:
     nn_distinctness: float
 
     def to_text(self) -> str:
-        out = []
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out.append(f"{f.name}={_fmt(val) if isinstance(val, float) else val}")
-        return "\n".join(out) + "\n"
+        return _key_values(self)
 
 
 @single_threaded()
@@ -288,10 +283,9 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
         distinctness1 = nn_distinctness(v1)
     return StructureReport(
         completeness=comp,
-        properness_residual=_properness(
-            C, adjoint, basis1.phi, basis2.phi, basis2._need_mass()
-        ),
-        basis_align_chamfer=_basis_align(C, adjoint, basis1.phi, basis2.phi),
+        properness_residual=measure_properness(C, basis1.phi, basis2.phi, basis2.mass,
+                                               adjoint),
+        basis_align_chamfer=measure_basis_aligning(C, basis1.phi, basis2.phi, adjoint),
         rank_F=rank_f,
         rank_A=rank_a,
         nn_distinctness=distinctness1,

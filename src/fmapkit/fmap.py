@@ -19,7 +19,6 @@ from scipy.spatial.distance import cdist
 
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
-from .mesh import read_table, write_table
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -150,12 +149,32 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
         raise RankDeficient(f"regularized row system is singular: {exc}") from exc
 
 
-def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of `points` for every row of `queries`.
+def _nearest(queries: np.ndarray, points: np.ndarray,
+             skip_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's nearest row of `points`: (indices, squared distances).
 
     Squared Euclidean metric, computed coordinate-difference-wise (so values
     agree bit for bit with a naive double loop); ties resolve to the lowest
-    index. Block-wise to bound memory.
+    index. skip_self, for queries that are `points` itself, leaves each row's
+    own index out. Block-wise to bound memory.
+    """
+    idx = np.empty(len(queries), dtype=np.int64)
+    sq = np.empty(len(queries))
+    for start in range(0, len(queries), _NN_BLOCK):
+        d = cdist(queries[start:start + _NN_BLOCK], points, metric="sqeuclidean")
+        rows = np.arange(len(d))
+        stop = start + len(rows)
+        if skip_self:
+            d[rows, start + rows] = np.inf
+        idx[start:stop] = np.argmin(d, axis=1)
+        sq[start:stop] = d[rows, idx[start:stop]]
+    return idx, sq
+
+
+def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of `points` for every row of `queries`.
+
+    Squared Euclidean metric; ties resolve to the lowest index (_nearest).
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -163,12 +182,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
         )
-    out = np.empty(len(queries), dtype=np.int64)
-    for start in range(0, len(queries), _NN_BLOCK):
-        block = queries[start:start + _NN_BLOCK]
-        d = cdist(block, points, metric="sqeuclidean")
-        out[start:start + _NN_BLOCK] = np.argmin(d, axis=1)
-    return out
+    return _nearest(queries, points)[0]
 
 
 @single_threaded()
@@ -293,16 +307,3 @@ def grad_unsupervised(C12: np.ndarray, C21: np.ndarray):
     g21 = 2.0 * C12.T @ r_12_21 + 2.0 * r_21_12 @ C12.T + 4.0 * C21 @ o_21
     return g12, g21
 
-
-# ---------------------------------------------------------------------------
-# file format
-# ---------------------------------------------------------------------------
-
-def save_fmap(C: np.ndarray, path) -> None:
-    """'FMAP k2 k1' header then k2 rows of k1 decimals."""
-    C = np.asarray(C, dtype=np.float64)
-    write_table(C, path, header=f"FMAP {C.shape[0]} {C.shape[1]}")
-
-
-def load_fmap(path) -> np.ndarray:
-    return read_table(path, "map", tag="FMAP")

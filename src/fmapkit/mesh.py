@@ -5,11 +5,11 @@ validates index ranges and rejects geometrically degenerate input; everything
 downstream (mass matrices, geodesics) relies on those guarantees.
 
 Meshes are ASCII only: OFF, OBJ, and ASCII PLY. Every other numeric file
-(matrices, correspondences, landmark pairs, bases, descriptors, maps) is one
-text table: an optional 'TAG a b' header, then rows of numbers, read by
-read_table and written by write_table. Parsing is strict and
-order-preserving, so parse -> serialize -> parse is an identity, and every
-malformed file raises ParseError. _file_text is the one place a file is read.
+(matrices, correspondences, landmark pairs) is one headerless text table,
+rows of numbers read by read_table and written by write_table. Parsing is
+strict and order-preserving, so parse -> serialize -> parse is an identity,
+and every malformed file raises ParseError. _file_text is the one place a
+file is read.
 """
 
 from __future__ import annotations
@@ -211,31 +211,29 @@ def _table(lines, path, dtype=float, width=None) -> np.ndarray:
 
     Every row must hold `width` tokens (the first row's count when None).
     Tokens are converted as one flat list per _TABLE_CHUNK_ROWS rows; only on
-    failure is the first bad line looked up, so the error names it.
+    failure are the lines looked up one by one, so the error names the first
+    bad line, whether its token count or one of its tokens is wrong.
     """
     lines, chunks, n_rows = iter(lines), [_numbers([], dtype, path)], 0
     while chunk := list(islice(lines, _TABLE_CHUNK_ROWS)):
-        flat = []
-        for no, line in chunk:
-            toks = line.split()
-            if width is None:
-                width = len(toks)
-            if len(toks) != width:
-                raise ParseError(f"{path}:{no}: expected {width} values, got {len(toks)}")
-            flat += toks
+        rows = [line.split() for _, line in chunk]
+        width = len(rows[0]) if width is None else width
         try:
-            chunks.append(_numbers(flat, dtype, path))
+            if any(len(toks) != width for toks in rows):
+                raise ParseError(f"{path}: ragged row")   # located below
+            chunks.append(_numbers([t for toks in rows for t in toks], dtype, path))
         except ParseError:
-            for r, (no, _) in enumerate(chunk):
-                _numbers(flat[r * width:(r + 1) * width], dtype, f"{path}:{no}")
+            for (no, _), toks in zip(chunk, rows):
+                if len(toks) != width:
+                    raise ParseError(f"{path}:{no}: expected {width} values, got {len(toks)}")
+                _numbers(toks, dtype, f"{path}:{no}")
             raise
         n_rows += len(chunk)
     return np.concatenate(chunks).reshape(n_rows, width or 0)
 
 
-def read_table(path, what: str, tag: str | None = None, dtype=float, width=None,
-               shape=None) -> np.ndarray:
-    """Read a text table: an optional 'TAG a b' header, then rows of numbers.
+def read_table(path, what: str, dtype=float, width=None) -> np.ndarray:
+    """Read a text table: one or more rows of numbers, no header.
 
     Blank lines and '#' comments are skipped anywhere. Every row holds
     `width` tokens (the first row's count when None). dtype float reads each
@@ -243,45 +241,25 @@ def read_table(path, what: str, tag: str | None = None, dtype=float, width=None,
     back bit for bit; dtype int reads 0-based indices, which must be
     non-negative.
 
-    With a tag, the first line must be 'TAG a b' with integers a, b >= 0,
-    and the table must have shape(a, b) = (rows, width) (identity when
-    shape is None). Without a tag, the table needs at least one row.
-
     Returns a (rows, width) float64 or int64 array. Any malformed file
-    (missing, binary, bad header, ragged row, bad token, wrong row count)
-    raises ParseError; `what` names the file kind in the message.
+    (missing, binary, no rows, ragged row, bad token) raises ParseError;
+    `what` names the file kind in the message.
     """
-    lines = _meaningful_lines(_file_text(path, what))
-    rows = None
-    if tag is not None:
-        first = next(lines, None)
-        if first is None:
-            raise ParseError(f"{path}: empty {what} file")
-        no, header = first
-        toks = header.split()
-        if len(toks) != 3 or toks[0] != tag:
-            raise ParseError(f"{path}:{no}: expected a '{tag} a b' header, got {header!r}")
-        a, b = _numbers(toks[1:], int, f"{path}:{no}").tolist()
-        rows, width = shape(a, b) if shape else (a, b)
-    table = _table(lines, path, dtype, width)
-    if rows is not None and len(table) != rows:
-        raise ParseError(f"{path}: expected {rows} rows, got {len(table)}")
-    if rows is None and not len(table):
+    table = _table(_meaningful_lines(_file_text(path, what)), path, dtype, width)
+    if not len(table):
         raise ParseError(f"{path}: empty {what} file")
     return table
 
 
-def write_table(a, path, header: str | None = None) -> None:
-    """Write a 2-D array one row per line, under an optional header line.
+def write_table(a, path) -> None:
+    """Write a 2-D array one row per line.
 
     Floats are written with _fmt (the shortest decimal that reads back
     exactly), integers as plain ints.
     """
     a = np.asarray(a)
     fmt = str if a.dtype.kind in "iu" else _fmt
-    lines = [] if header is None else [header]
-    lines += [" ".join(map(fmt, row)) for row in a.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(" ".join(map(fmt, row)) for row in a.tolist()) + "\n")
 
 
 def _triangles(lines, path) -> np.ndarray:

@@ -56,10 +56,10 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     C = np.asarray(C0, dtype=np.float64).copy()
-    mass2 = basis2._need_mass()
 
     def project(g1, g2):
-        return properness_project(soft_map(g1, g2, tau), basis1.phi, basis2.phi, mass2)
+        return properness_project(soft_map(g1, g2, tau), basis1.phi, basis2.phi,
+                                  basis2.mass)
 
     if mode == "feature":
         C_next = project(F1, F2)

@@ -24,7 +24,7 @@ Conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,7 +32,7 @@ from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._blas import single_threaded
 from .errors import InvalidK, SolverFailure
-from .mesh import TriMesh, read_table, write_table
+from .mesh import TriMesh
 
 # cot of angles is clamped to +-cot(1e-6 rad): slivers below the mesh area
 # floor never get here, but directly constructed bad geometry stays finite.
@@ -113,16 +113,15 @@ def build_laplacian(mesh: TriMesh) -> LaplacianPair:
 
 @dataclass
 class SpectralBasis:
-    """Truncated eigenbasis of (W, M).
+    """Truncated eigenbasis of (W, M) with the lumped mass it is orthonormal in.
 
-    phi is (n, k) with Phi^T M Phi = I; lam is ascending and non-negative.
-    mass may be None for a basis loaded from a cache file without its mesh;
-    operations that need the pseudo-inverse then refuse to run.
+    phi is (n, k) with Phi^T M Phi = I; lam is ascending and non-negative;
+    mass is the (n,) lumped mass vector behind the pseudo-inverse Phi^T M.
     """
 
     lam: np.ndarray
     phi: np.ndarray
-    mass: np.ndarray | None = field(default=None)
+    mass: np.ndarray
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=np.float64).ravel()
@@ -131,8 +130,11 @@ class SpectralBasis:
             raise SolverFailure(
                 f"phi shape {self.phi.shape} inconsistent with {self.lam.size} eigenvalues"
             )
-        if self.mass is not None:
-            self.mass = np.asarray(self.mass, dtype=np.float64).ravel()
+        self.mass = np.asarray(self.mass, dtype=np.float64).ravel()
+        if self.mass.size != self.phi.shape[0]:
+            raise SolverFailure(
+                f"mass length {self.mass.size} does not match {self.phi.shape[0]} vertices"
+            )
 
     @property
     def n(self) -> int:
@@ -142,17 +144,11 @@ class SpectralBasis:
     def k(self) -> int:
         return self.phi.shape[1]
 
-    def _need_mass(self) -> np.ndarray:
-        if self.mass is None:
-            raise SolverFailure("basis has no mass vector; load it with its mesh")
-        return self.mass
-
     @single_threaded()
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients Phi^T M f; f is (n,) or (n, d)."""
-        m = self._need_mass()
         f = np.asarray(f, dtype=np.float64)
-        return self.phi.T @ (m[:, None] * f if f.ndim == 2 else m * f)
+        return self.phi.T @ (self.mass[:, None] * f if f.ndim == 2 else self.mass * f)
 
     @single_threaded()
     def reconstruct(self, a: np.ndarray) -> np.ndarray:
@@ -286,15 +282,3 @@ def eigen_residuals(lap: LaplacianPair, basis: SpectralBasis) -> np.ndarray:
     w_norm = max(float(np.abs(lap.W).sum(axis=1).max()), 1e-300)
     return np.linalg.norm(r, axis=0) / (w_norm * np.linalg.norm(basis.phi, axis=0))
 
-
-def save_basis(basis: SpectralBasis, path) -> None:
-    """Cache file: 'SPECBASIS k n' header, one lambda row, n Phi rows."""
-    write_table(np.vstack([basis.lam, basis.phi]), path,
-                header=f"SPECBASIS {basis.k} {basis.n}")
-
-
-def load_basis(path, mass: np.ndarray | None = None) -> SpectralBasis:
-    """Read a basis cache; pass the mesh's mass vector to re-enable projection."""
-    table = read_table(path, "basis", tag="SPECBASIS", shape=lambda k, n: (n + 1, k))
-    # lam and phi get buffers of their own, so neither keeps the table alive
-    return SpectralBasis(table[0].copy(), table[1:].copy(), mass)

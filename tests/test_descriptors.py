@@ -1,5 +1,5 @@
 """Spectral point descriptors: heat/wave kernel signatures, coordinates,
-diffused landmark indicators, and the FEAT text format.
+and diffused landmark indicators.
 
 Kernel signatures are compared entry-for-entry against the term-by-term
 summation oracles.
@@ -19,16 +19,13 @@ from fmapkit.descriptors import (
     descriptor_landmarks,
     descriptor_wks,
     descriptor_xyz,
-    load_features,
     normalize_columns,
     project_coeffs,
-    save_features,
 )
 from fmapkit.errors import (
     AllEigenvaluesExcluded,
     IndexOutOfRange,
     LengthMismatch,
-    ParseError,
     ZeroFeatures,
 )
 from fmapkit.spectral import SpectralBasis, build_laplacian, eigenbasis
@@ -231,33 +228,3 @@ class TestNormalizeAndProject:
             project_coeffs(basis, np.zeros((5, 2)))
         with pytest.raises(LengthMismatch):
             project_coeffs(basis, np.zeros(162))
-
-
-class TestFeatureIO:
-    def test_round_trip_exact(self, tmp_path):
-        fm = FeatureMatrix(np.random.default_rng(2).standard_normal((6, 3)))
-        path = tmp_path / "f.txt"
-        save_features(fm, path)
-        back = load_features(path)
-        assert np.array_equal(back.values, fm.values)
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "f.txt"
-        save_features(FeatureMatrix(np.zeros((4, 2))), path)
-        assert path.read_text().splitlines()[0] == "FEAT 4 2"
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "f.txt"
-        path.write_text("FEATURES 2 2\n0 0\n0 0\n")
-        with pytest.raises(ParseError):
-            load_features(path)
-
-    def test_row_count_mismatch(self, tmp_path):
-        path = tmp_path / "f.txt"
-        path.write_text("FEAT 3 2\n0 0\n0 0\n")
-        with pytest.raises(ParseError):
-            load_features(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_features(tmp_path / "nope.txt")

@@ -7,8 +7,10 @@ inputs and check every verdict field.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
-from fmapkit import diagnostics
+from fmapkit import diagnostics, fmap
 from fmapkit.diagnostics import (
     OracleVerdict,
     StructureReport,
@@ -89,6 +91,15 @@ class TestPointwiseMeasures:
         assert measure_basis_aligning(C, pair.basis1.phi, pair.basis2.phi) \
             == pytest.approx(manual, rel=1e-12)
 
+    def test_given_adjoint_map_gives_the_same_values(self, pair):
+        C = pair.C_gt + 0.05 * np.random.default_rng(3).standard_normal((30, 30))
+        phi1, phi2, mass2 = pair.basis1.phi, pair.basis2.phi, pair.lap2.mass
+        pm = convert_adjoint(C, phi1, phi2)
+        assert measure_properness(C, phi1, phi2, mass2, adjoint=pm) \
+            == measure_properness(C, phi1, phi2, mass2)
+        assert measure_basis_aligning(C, phi1, phi2, adjoint=pm) \
+            == measure_basis_aligning(C, phi1, phi2)
+
 
 class TestRankAndDistinctness:
     def test_rank_report(self):
@@ -114,6 +125,21 @@ class TestRankAndDistinctness:
     def test_duplicated_rows_give_zero(self):
         F = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
         assert nn_distinctness(F) < 2.0  # two of three rows coincide
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=1, max_size=5)),
+        st.lists(st.integers(0, 4), min_size=2, max_size=12))
+    def test_nn_distinctness_equals_full_distance_table(self, block, pool, picks):
+        # rows drawn from a small pool, so duplicates are common
+        F = np.array([pool[i % len(pool)] for i in picks])
+        d = cdist(F, F)
+        np.fill_diagonal(d, np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(fmap, "_NN_BLOCK", block)
+            assert nn_distinctness(F) == float(d.min(axis=1).mean())
 
 
 class TestEnergyDecomposition:

@@ -12,19 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from fmapkit._blas import single_threaded
-from fmapkit.errors import LengthMismatch, ParseError, RankDeficient
+from fmapkit.errors import LengthMismatch, RankDeficient
 from fmapkit.fmap import (
     PointMap,
     convert_adjoint,
     convert_feature_nn,
     grad_unsupervised,
-    load_fmap,
     loss_properness,
     loss_supervised,
     loss_unsupervised,
     nearest_rows,
     properness_project,
-    save_fmap,
     soft_map,
     solve_fmap,
 )
@@ -323,32 +321,3 @@ class TestLosses:
         f21 = orc.fd_gradient(lambda x: loss_unsupervised(C12, x), C21)
         assert g12 == pytest.approx(f12, rel=1e-6, abs=1e-7)
         assert g21 == pytest.approx(f21, rel=1e-6, abs=1e-7)
-
-
-class TestFmapIO:
-    def test_round_trip_exact(self, tmp_path):
-        C = np.random.default_rng(14).standard_normal((4, 6))
-        path = tmp_path / "c.txt"
-        save_fmap(C, path)
-        assert np.array_equal(load_fmap(path), C)
-
-    def test_header_is_k2_k1(self, tmp_path):
-        path = tmp_path / "c.txt"
-        save_fmap(np.zeros((4, 6)), path)
-        assert path.read_text().splitlines()[0] == "FMAP 4 6"
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("CMAP 2 2\n1 0\n0 1\n")
-        with pytest.raises(ParseError):
-            load_fmap(path)
-
-    def test_shape_mismatch(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("FMAP 3 2\n1 0\n0 1\n")
-        with pytest.raises(ParseError):
-            load_fmap(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_fmap(tmp_path / "nope.txt")

@@ -16,10 +16,11 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import oracles as orc
 from fmapkit import spectral, synth
-from fmapkit.errors import InvalidK, ParseError, SolverFailure
+from fmapkit.errors import InvalidK, SolverFailure
 from fmapkit.mesh import TriMesh
 from fmapkit.spectral import (
     LaplacianPair,
+    SpectralBasis,
     MAX_DENSE_VERTICES,
     SPARSE_K_RATIO,
     SPARSE_MIN_VERTICES,
@@ -27,8 +28,6 @@ from fmapkit.spectral import (
     diffuse,
     eigen_residuals,
     eigenbasis,
-    load_basis,
-    save_basis,
     smooth_features,
 )
 
@@ -136,6 +135,11 @@ class TestEigenbasis:
             basis.truncate(6)
         with pytest.raises(InvalidK):
             basis.truncate(0)
+
+    def test_mass_must_match_vertex_count(self, ico162):
+        basis = eigenbasis(build_laplacian(ico162), 5)
+        with pytest.raises(SolverFailure):
+            SpectralBasis(basis.lam, basis.phi, basis.mass[:-1])
 
     def test_invalid_k(self, tetra):
         lap = build_laplacian(tetra)
@@ -326,37 +330,3 @@ def ico162_basis(ico162):
     basis = eigenbasis(lap, 20)
     f = np.random.default_rng(9).standard_normal(162)
     return basis, f
-
-
-class TestBasisIO:
-    def test_round_trip_exact(self, tmp_path, ico162):
-        lap = build_laplacian(ico162)
-        basis = eigenbasis(lap, 6)
-        path = tmp_path / "basis.txt"
-        save_basis(basis, path)
-        back = load_basis(path, mass=lap.mass)
-        assert np.array_equal(back.lam, basis.lam)
-        assert np.array_equal(back.phi, basis.phi)
-        assert back.project(basis.phi[:, 2])[2] == pytest.approx(1.0, abs=1e-10)
-
-    def test_header_format(self, tmp_path, tetra):
-        lap = build_laplacian(tetra)
-        path = tmp_path / "basis.txt"
-        save_basis(eigenbasis(lap, 3), path)
-        assert path.read_text().splitlines()[0] == "SPECBASIS 3 4"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "b.txt"
-        path.write_text("BASIS 3 4\n")
-        with pytest.raises(ParseError):
-            load_basis(path)
-
-    def test_size_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "b.txt"
-        path.write_text("SPECBASIS 2 2\n0.0 1.0\n1.0 2.0\n")
-        with pytest.raises(ParseError):
-            load_basis(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_basis(tmp_path / "nope.txt")

@@ -45,7 +45,7 @@ wrapped entry point named first:
   calls above, wrapped once so that a whole run switches the count once
 
 Everything else in the package (einsum without `optimize`, norms along an
-axis, `cdist`, sparse products, Dijkstra) does not reach BLAS.
+axis, `cdist`, `cKDTree`, sparse products, Dijkstra) does not reach BLAS.
 """
 
 from __future__ import annotations

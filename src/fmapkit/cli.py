@@ -1,12 +1,12 @@
 """Command-line interface: match, eval, diagnose.
 
 An option left out takes its default from MatchConfig or DiagnoseConfig, and
-`--help` shows it. `match` and `diagnose` keep the PreparedSide (basis and
-descriptor stack) of the SIDE_CACHE_SIZE most recently prepared shapes in
-the process, keyed on the mesh content and the options a side depends on, so
-a caller that runs them in one process against a recurring shape prepares it
-once; separate processes share nothing. A cold and a warm cache give the
-same output bytes.
+`--help` shows it. `match` and `diagnose` keep the eigenbases of the
+BASIS_CACHE_SIZE most recently solved shapes in the process, keyed on the
+mesh content and the basis size only, so a caller that runs them in one
+process against a recurring shape solves its basis once, whatever the
+descriptor options; separate processes share nothing. Descriptors are
+rebuilt on every call. A cold and a warm cache give the same output bytes.
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, out-of-range
 values, k exceeding the vertex count), 3 for data problems (parse failures,
@@ -25,7 +25,6 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,6 @@ from .descriptors import (
     project_coeffs,
     FeatureMatrix,
 )
-from . import diagnostics
 from .diagnostics import build_structure_report, theorem_oracle
 from .errors import FmapError, InvalidK
 from .evaluate import geodesic_error, write_error_report
@@ -108,84 +106,59 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id):
     return concat_features(parts)
 
 
-@dataclass(frozen=True, eq=False)   # compared by identity: it holds arrays
-class PreparedSide:
-    """One shape's truncated basis and smoothed, mass-normalized descriptor stack.
+# Eigenbases of the most recently solved shapes, least recently used first.
+# Two cover a loop that matches one fixed shape against a stream of others.
+BASIS_CACHE_SIZE = 2
+_bases: OrderedDict[tuple[bytes, int], SpectralBasis] = OrderedDict()
+_bases_lock = threading.Lock()
 
-    Its arrays are read-only: later calls in the process may share the side.
+
+def _basis(mesh, size: int) -> SpectralBasis:
+    """The mesh's first `size` eigenpairs, solved once while cached.
+
+    Keyed on the mesh content (not its path or mtime) and the size; the
+    arrays are read-only. Threads share the cache; one basis is solved at a time.
     """
-
-    basis: SpectralBasis
-    features: FeatureMatrix
-
-    @cached_property
-    def distinctness(self) -> float:
-        """nn_distinctness of the stack, computed on first use."""
-        # looked up on the module at call time, so a wrapper installed on
-        # diagnostics.nn_distinctness sees the call
-        return diagnostics.nn_distinctness(self.features)
-
-
-# Sides of the most recently prepared shapes, least recently used first. Two
-# cover a loop that matches one fixed shape against a stream of others.
-SIDE_CACHE_SIZE = 2
-_sides: OrderedDict[tuple, PreparedSide] = OrderedDict()
-_sides_lock = threading.Lock()
-
-
-def _side_key(mesh, mesh_id, cfg: _PairConfig, j, landmarks, landmark_t) -> tuple:
-    """Mesh content (not its path or mtime) plus every input of the side."""
     h = hashlib.blake2b(digest_size=16)
     for arr in (mesh.vertices, mesh.triangles):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    return (h.digest(), mesh_id, cfg.k, j, cfg.smooth_t, cfg.desc,
-            tuple(landmarks), landmark_t)
-
-
-def _prepare_side(mesh, mesh_id, cfg: _PairConfig, landmarks=(),
-                  landmark_t=None) -> PreparedSide:
-    """The side of one shape, reused while it stays in the cache.
-
-    Threads share the cache, and one side is built at a time.
-    """
-    # clamped (and warned about) on every call, hit or miss
-    j = _smoothing_size(cfg.smooth_j, mesh.n_vertices)
-    key = _side_key(mesh, mesh_id, cfg, j, landmarks, landmark_t)
-    with _sides_lock:
-        if key in _sides:
-            _sides.move_to_end(key)
-            return _sides[key]
-        # Evict before building: a side freed after the new one is built
+    key = (h.digest(), size)
+    with _bases_lock:
+        if key in _bases:
+            _bases.move_to_end(key)
+            return _bases[key]
+        # Evict before solving: a basis freed after the new one is solved
         # leaves its blocks stranded in the allocator's heap (match at
         # n = 2562 then peaks at ~160 MiB RSS instead of ~140).
-        while len(_sides) >= SIDE_CACHE_SIZE:
-            _sides.popitem(last=False)
-        side = _sides[key] = _build_side(mesh, mesh_id, cfg, j, landmarks, landmark_t)
-        return side
+        while len(_bases) >= BASIS_CACHE_SIZE:
+            _bases.popitem(last=False)
+        basis = eigenbasis(build_laplacian(mesh), size)
+        for arr in (basis.lam, basis.phi, basis.mass):
+            arr.flags.writeable = False
+        _bases[key] = basis
+        return basis
 
 
-def _build_side(mesh, mesh_id, cfg: _PairConfig, j, landmarks, landmark_t) -> PreparedSide:
-    lap = build_laplacian(mesh)
-    basis_full = eigenbasis(lap, max(cfg.k, j))
-    basis_k = basis_full.truncate(cfg.k)
-    basis_j = basis_full.truncate(j)
+def _prepare_side(mesh, mesh_id, cfg: _PairConfig, landmarks=(), landmark_t=None):
+    """One shape's truncated basis and smoothed, mass-normalized descriptor stack."""
+    j = _smoothing_size(cfg.smooth_j, mesh.n_vertices)
+    basis = _basis(mesh, max(cfg.k, j))
+    # truncate copies, so the full-size prefix is the cached basis itself
+    basis_k = basis if cfg.k == basis.k else basis.truncate(cfg.k)
+    basis_j = basis if j == basis.k else basis.truncate(j)
     stack = _build_stack(mesh, basis_k, cfg.desc, landmarks, landmark_t, mesh_id)
     smoothed = smooth_features(basis_j, stack.values, cfg.smooth_t)
-    normalized = normalize_columns(smoothed, lap.mass)
-    for arr in (basis_k.lam, basis_k.phi, basis_k.mass, normalized):
-        arr.flags.writeable = False
-    return PreparedSide(basis_k, FeatureMatrix(normalized, stack.labels, mesh_id))
+    normalized = normalize_columns(smoothed, basis.mass)
+    return basis_k, FeatureMatrix(normalized, stack.labels, mesh_id)
 
 
 def run_match(cfg: MatchConfig):
     """Full matching pipeline; returns (point_map, C, report)."""
     mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
     lm1, lm2 = load_landmark_pairs(cfg.landmarks) if cfg.landmarks else ([], [])
-    side1 = _prepare_side(mesh1, cfg.src, cfg, lm1, cfg.landmark_t)
-    side2 = _prepare_side(mesh2, cfg.dst, cfg, lm2, cfg.landmark_t)
-    basis1, f1 = side1.basis, side1.features
-    basis2, f2 = side2.basis, side2.features
+    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg, lm1, cfg.landmark_t)
+    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg, lm2, cfg.landmark_t)
     C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
                    basis1.lam, basis2.lam, cfg.mu)
     if cfg.refine != "none":
@@ -199,8 +172,7 @@ def run_match(cfg: MatchConfig):
         pm = convert_feature_nn(f1, f2)
     save_correspondence(pm.indices, cfg.out)
     report = build_structure_report(C, basis1, basis2, f1, f2,
-                                    adjoint=pm if cfg.convert == "adjoint" else None,
-                                    distinctness1=side1.distinctness)
+                                    adjoint=pm if cfg.convert == "adjoint" else None)
     Path(cfg.out + ".report").write_text(report.to_text())
     return pm, C, report
 
@@ -215,10 +187,8 @@ def run_eval(pred, gt, mesh, out):
 
 def run_diagnose(cfg: DiagnoseConfig):
     mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
-    side1 = _prepare_side(mesh1, cfg.src, cfg)
-    side2 = _prepare_side(mesh2, cfg.dst, cfg)
-    basis1, f1 = side1.basis, side1.features
-    basis2, f2 = side2.basis, side2.features
+    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg)
+    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg)
     if cfg.noise > 0:
         rng = np.random.default_rng(cfg.seed)
         scale = float(f2.values.std()) or 1.0
@@ -226,12 +196,10 @@ def run_diagnose(cfg: DiagnoseConfig):
             f2.values + cfg.noise * scale * rng.standard_normal(f2.values.shape),
             f2.labels, f2.mesh_id,
         )
-    verdict = theorem_oracle(f1, f2, basis1, basis2, seed=cfg.seed,
-                             distinctness1=side1.distinctness)
+    verdict = theorem_oracle(f1, f2, basis1, basis2, seed=cfg.seed)
     C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
                    basis1.lam, basis2.lam, cfg.mu)
-    report = build_structure_report(C, basis1, basis2, f1, f2,
-                                    distinctness1=side1.distinctness)
+    report = build_structure_report(C, basis1, basis2, f1, f2)
     text = verdict.to_text() + "\n" + report.to_text()
     if cfg.out:
         Path(cfg.out).write_text(text)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ._blas import single_threaded
 from .errors import LengthMismatch, ZeroFeatures
@@ -26,7 +27,6 @@ from .fmap import (
     loss_properness,
     properness_project,
     _feature_values,
-    _nearest,
 )
 from .mesh import _fmt
 from .spectral import SpectralBasis
@@ -95,11 +95,47 @@ def rank_report(F, A) -> tuple[int, int]:
 
 
 def nn_distinctness(features) -> float:
-    """Mean distance from each descriptor row to its nearest other row."""
+    """Mean distance from each descriptor row to its nearest other row.
+
+    Exact, in O(n) memory (_nearest_other); nan for a non-finite stack.
+    """
     values = _feature_values(features)
     if len(values) < 2:
         raise LengthMismatch("need at least two rows")
-    return float(np.sqrt(_nearest(values, values, skip_self=True)[1]).mean())
+    if not np.isfinite(values).all():
+        return float("nan")
+    return float(np.sqrt(_nearest_other(values)).mean())
+
+
+def _nearest_other(values: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to its nearest other row, as cdist gives it.
+
+    A k-d tree proposes each row's nearest other row, and the distance is
+    recomputed as cdist computes it. A row whose runner-up lies within 1e-9
+    (relative) of that proposal takes the exact minimum over every row
+    within that radius.
+    """
+    n, d = values.shape
+    if not d:
+        return np.zeros(n)   # rows with no columns coincide
+    tree = cKDTree(values)
+    dist, idx = tree.query(values, k=min(3, n))
+    # the other rows in the tree's order; a duplicate may come before the row
+    order = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
+    dist, idx = np.take_along_axis(dist, order, 1), np.take_along_axis(idx, order, 1)
+    # at n = 2 column 1 is the row itself, so every row counts as a near tie
+    ties = np.flatnonzero((dist[:, 0] > 0) & (dist[:, 1] <= dist[:, 0] * (1 + 1e-9)))
+    balls = tree.query_ball_point(values[ties], dist[ties, 0] * (1 + 1e-9))
+    a = np.concatenate([np.arange(n), np.repeat(ties, [len(ball) for ball in balls])])
+    b = np.concatenate([idx[:, 0], *balls])
+    a, b = a[a != b], b[a != b]
+    sq = np.zeros(len(a))
+    for col in values.T:   # cdist's order, so the values agree with it bit for bit
+        diff = col[a] - col[b]
+        sq += diff * diff
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, a, sq)
+    return nearest
 
 
 def energy_terms(pi: PointMap, F1, F2, basis2: SpectralBasis):
@@ -190,15 +226,13 @@ class OracleVerdict:
 
 @single_threaded()
 def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
-                   n_probe_maps: int = 10, seed: int = 0,
-                   distinctness1: float | None = None) -> OracleVerdict:
+                   n_probe_maps: int = 10, seed: int = 0) -> OracleVerdict:
     """Measure every hypothesis and consequence of exact recovery.
 
     C_opt is the minimum-norm least-squares solution of C A1 = A2 (computed
     with lstsq so rank deficiency is reported, not raised). The residual and
     chamfer are normalized by the scale of their targets so the 1e-8
-    verdict thresholds mean the same thing across fixtures. A caller that
-    already holds nn_distinctness(F1) passes it as `distinctness1`.
+    verdict thresholds mean the same thing across fixtures.
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
     a1 = basis1.project(v1)
@@ -208,7 +242,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     comp1 = measure_completeness(basis1, v1)
     comp2 = measure_completeness(basis2, v2)
     rank_a1 = _rank(a1)
-    distinct_gap = nn_distinctness(v1) if distinctness1 is None else distinctness1
+    distinct_gap = nn_distinctness(v1)
     scale1 = float(np.abs(v1).max()) or 1.0
     rows_distinct = bool(distinct_gap > 1e-12 * scale1)
 
@@ -261,16 +295,14 @@ class StructureReport:
 @single_threaded()
 def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
                            basis2: SpectralBasis, F1, F2,
-                           adjoint: PointMap | None = None,
-                           distinctness1: float | None = None) -> StructureReport:
+                           adjoint: PointMap | None = None) -> StructureReport:
     """Assemble the per-pair report; completeness is the worse of two sides.
 
     The properness residual and the basis-aligning chamfer both need C's
     adjoint pointwise map, convert_adjoint(C, basis1.phi, basis2.phi).
     A caller that already holds that map passes it as `adjoint`, so the
     report makes no nearest-neighbour search of its own; without it, the
-    report converts C once and uses the result for both measures. Likewise
-    `distinctness1` is nn_distinctness(F1) if the caller holds it. The
+    report converts C once and uses the result for both measures. The
     report text is the same either way.
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
@@ -279,8 +311,6 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
     rank_f, rank_a = rank_report(v1, a1)
     if adjoint is None:
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
-    if distinctness1 is None:
-        distinctness1 = nn_distinctness(v1)
     return StructureReport(
         completeness=comp,
         properness_residual=measure_properness(C, basis1.phi, basis2.phi, basis2.mass,
@@ -288,5 +318,5 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
         basis_align_chamfer=measure_basis_aligning(C, basis1.phi, basis2.phi, adjoint),
         rank_F=rank_f,
         rank_A=rank_a,
-        nn_distinctness=distinctness1,
+        nn_distinctness=nn_distinctness(v1),
     )

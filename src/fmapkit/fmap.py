@@ -149,32 +149,12 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
         raise RankDeficient(f"regularized row system is singular: {exc}") from exc
 
 
-def _nearest(queries: np.ndarray, points: np.ndarray,
-             skip_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Each query's nearest row of `points`: (indices, squared distances).
-
-    Squared Euclidean metric, computed coordinate-difference-wise (so values
-    agree bit for bit with a naive double loop); ties resolve to the lowest
-    index. skip_self, for queries that are `points` itself, leaves each row's
-    own index out. Block-wise to bound memory.
-    """
-    idx = np.empty(len(queries), dtype=np.int64)
-    sq = np.empty(len(queries))
-    for start in range(0, len(queries), _NN_BLOCK):
-        d = cdist(queries[start:start + _NN_BLOCK], points, metric="sqeuclidean")
-        rows = np.arange(len(d))
-        stop = start + len(rows)
-        if skip_self:
-            d[rows, start + rows] = np.inf
-        idx[start:stop] = np.argmin(d, axis=1)
-        sq[start:stop] = d[rows, idx[start:stop]]
-    return idx, sq
-
-
 def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of the nearest row of `points` for every row of `queries`.
 
-    Squared Euclidean metric; ties resolve to the lowest index (_nearest).
+    Squared Euclidean metric, computed coordinate-difference-wise (so values
+    agree bit for bit with a naive double loop); ties resolve to the lowest
+    index. Block-wise to bound memory.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -182,7 +162,11 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
         )
-    return _nearest(queries, points)[0]
+    idx = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), _NN_BLOCK):
+        d = cdist(queries[start:start + _NN_BLOCK], points, metric="sqeuclidean")
+        idx[start:start + len(d)] = np.argmin(d, axis=1)
+    return idx
 
 
 @single_threaded()

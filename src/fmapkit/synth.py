@@ -41,12 +41,6 @@ def tetrahedron() -> TriMesh:
     return TriMesh(v, t)
 
 
-def right_triangle() -> TriMesh:
-    """Single unit right triangle in the z=0 plane (area 1/2)."""
-    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return TriMesh(v, np.array([[0, 1, 2]]))
-
-
 def square_diagonal() -> TriMesh:
     """Unit square split along the diagonal (0, 2).
 

@@ -18,9 +18,9 @@ FEATURE_DIM = 60
 
 
 @pytest.fixture(autouse=True)
-def cold_side_cache():
-    """Every test starts with no prepared side left over from an earlier one."""
-    cli._sides.clear()
+def cold_basis_cache():
+    """Every test starts with no eigenbasis left over from an earlier one."""
+    cli._bases.clear()
 
 
 @pytest.fixture(scope="session")

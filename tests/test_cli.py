@@ -1,10 +1,12 @@
 """End-to-end command-line tests: match, eval, diagnose, exit codes."""
 
 import argparse
+import importlib.util
 import re
 import sys
 import threading
 from dataclasses import MISSING, fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,11 +75,11 @@ def key_values(text):
 
 def spy(monkeypatch, module, name):
     """Replace module.name by a pass-through that records, per call, how many
-    prepared sides were cached when it ran."""
+    eigenbases were cached when it ran."""
     calls, original = [], getattr(module, name)
 
     def recorded(*args, **kwargs):
-        calls.append(len(cli._sides))
+        calls.append(len(cli._bases))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorded)
@@ -294,7 +296,8 @@ class TestExitCodes:
 
 
 class TestSideCache:
-    """A shape prepared once is reused, with the bytes a fresh preparation gives."""
+    """A shape's eigenbasis is solved once and reused, with the bytes a fresh
+    preparation gives; only the mesh content and the basis size key it."""
 
     @pytest.mark.parametrize("argv", [
         ["match"],
@@ -313,34 +316,36 @@ class TestSideCache:
             files = [out, tmp_path / f"{run}.txt.report"] if argv[0] == "match" else [out]
             stdout = capsys.readouterr().out.replace(str(out), "OUT")
             runs.append([stdout] + [f.read_bytes() for f in files])
-            assert len(solves) == 2    # both sides solved on the cold run only
+            assert len(solves) == 2    # both bases solved on the cold run only
         assert runs[0] == runs[1]
 
-    def test_each_keyed_input_misses(self, small_pair):
-        mesh = load_mesh(small_pair.src)
+    def test_each_keyed_input_misses(self, small_pair, monkeypatch):
+        solves = spy(monkeypatch, cli, "eigenbasis")
+        mesh = load_mesh(small_pair.src)   # 162 vertices; the basis size is max(k, j)
         cfg = MatchConfig(src="a", dst="b", out="c")
         args = {"mesh_id": "a", "landmarks": [0, 1, 2], "landmark_t": 0.1}
 
-        def prepare(cfg, **changed):
-            return cli._prepare_side(mesh, cfg=cfg, **{**args, **changed})
+        def solved(cfg, **changed):
+            """Eigensolves so far, after preparing the side."""
+            cli._prepare_side(mesh, cfg=cfg, **{**args, **changed})
+            return len(solves)
 
-        first = prepare(cfg)
+        assert solved(cfg) == 1
+        # nothing but the size shapes the basis, and a k at or below j is inside it
         for changed in [{"mesh_id": "b"}, {"landmarks": [0, 1, 3]}, {"landmark_t": 0.2}]:
-            assert prepare(cfg, **changed) is not first
-            assert prepare(cfg) is first
-        for name, value in [("k", 20), ("smooth_j", 100), ("smooth_t", 0.5),
-                            ("desc", "stack")]:
-            assert prepare(replace(cfg, **{name: value})) is not first
-            assert prepare(cfg) is first
-        # the rest of the config does not shape a side
-        for name, value in [("src", "x"), ("dst", "y"), ("out", "z"), ("mu", 0.5),
+            assert solved(cfg, **changed) == 1
+        for name, value in [("k", 20), ("k", 128), ("smooth_t", 0.5), ("desc", "stack"),
+                            ("src", "x"), ("dst", "y"), ("out", "z"), ("mu", 0.5),
                             ("tau", 0.5), ("refine", "proper-adjoint"),
                             ("refine_iters", 3), ("convert", "nn")]:
-            assert prepare(replace(cfg, **{name: value})) is first
+            assert solved(replace(cfg, **{name: value})) == 1
+        assert solved(replace(cfg, smooth_j=100)) == 2
+        assert solved(replace(cfg, k=140)) == 3
+        assert solved(replace(cfg, k=140, smooth_j=10)) == 3
         # the key holds the clamped smoothing size; each call still warns
         with pytest.warns(UserWarning, match="clamp") as record:
-            clamped = prepare(replace(cfg, smooth_j=500))
-            assert prepare(replace(cfg, smooth_j=600)) is clamped
+            assert solved(replace(cfg, smooth_j=500)) == 4
+            assert solved(replace(cfg, smooth_j=600)) == 4
         assert len(record) == 2
 
     def test_mesh_rewritten_in_place_misses(self, small_pair, tmp_path):
@@ -355,44 +360,51 @@ class TestSideCache:
         before = match("before.txt")
         save_mesh(synth.bumpy_sphere(2), src)   # same path and vertex count
         after = match("after.txt")
-        cli._sides.clear()
+        cli._bases.clear()
         assert after == match("cold.txt")
         assert after != before
 
     def test_cached_arrays_are_read_only(self, small_pair):
-        side = cli._prepare_side(load_mesh(small_pair.src), "a",
-                                 DiagnoseConfig(src="a", dst="b"))
-        for arr in (side.basis.lam, side.basis.phi, side.basis.mass,
-                    side.features.values):
+        basis = cli._basis(load_mesh(small_pair.src), 30)
+        for arr in (basis.lam, basis.phi, basis.mass):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+    def test_only_a_smaller_prefix_is_copied(self, small_pair):
+        mesh = load_mesh(small_pair.src)
+        cfg = DiagnoseConfig(src="a", dst="b", k=40, smooth_j=40)
+        basis, _ = cli._prepare_side(mesh, "a", cfg)
+        assert basis is cli._basis(mesh, 40)
+        basis, _ = cli._prepare_side(mesh, "a", replace(cfg, k=30))
+        assert basis.k == 30 and not np.shares_memory(basis.phi, cli._basis(mesh, 40).phi)
 
     def test_size_is_bounded_and_eviction_comes_before_the_solve(self, small_pair,
                                                                  monkeypatch):
         solves = spy(monkeypatch, cli, "eigenbasis")
         mesh = load_mesh(small_pair.src)
-        for k in (5, 6, 5, 7, 5, 8):
-            cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", k=k))
-            assert len(cli._sides) <= cli.SIDE_CACHE_SIZE
-        # least recently used goes first, so k = 5 is never evicted
+        for j in (40, 50, 40, 60, 40, 70):
+            cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", smooth_j=j))
+            assert len(cli._bases) <= cli.BASIS_CACHE_SIZE
+        # least recently used goes first, so j = 40 is never evicted
         assert len(solves) == 4
-        assert max(solves) == cli.SIDE_CACHE_SIZE - 1
+        assert max(solves) == cli.BASIS_CACHE_SIZE - 1
 
-    def test_threads_share_the_cache_safely(self, small_pair, monkeypatch):
-        # stand-in key and build, so the threads spend their time in the cache logic
-        monkeypatch.setattr(cli, "_side_key", lambda mesh, mesh_id, cfg, *rest: cfg.k)
-        monkeypatch.setattr(cli, "_build_side", lambda mesh, mesh_id, cfg, *rest:
-                            cli.PreparedSide(SimpleNamespace(k=cfg.k), None))
-        mesh = load_mesh(small_pair.src)
+    def test_threads_share_the_cache_safely(self, monkeypatch):
+        # stand-in solve on a 4-vertex mesh, so the threads spend their time
+        # in the cache logic
+        monkeypatch.setattr(cli, "build_laplacian", lambda mesh: None)
+        monkeypatch.setattr(cli, "eigenbasis", lambda lap, k: spectral.SpectralBasis(
+            np.zeros(k), np.zeros((1, k)), np.ones(1)))
+        mesh = synth.tetrahedron()
         errors, wrong = [], []
 
         def work(offset):
             try:
                 for i in range(20000):
                     k = 5 + (i + offset) % 3
-                    side = cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", k=k))
-                    if side.basis.k != k:
-                        wrong.append((k, side.basis.k))
+                    basis = cli._basis(mesh, k)
+                    if basis.k != k:
+                        wrong.append((k, basis.k))
             except Exception as exc:   # reported by the assertion below
                 errors.append(exc)
 
@@ -408,13 +420,15 @@ class TestSideCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert (errors, wrong) == ([], [])
-        assert len(cli._sides) <= cli.SIDE_CACHE_SIZE
+        assert len(cli._bases) <= cli.BASIS_CACHE_SIZE
 
-    def test_diagnose_computes_distinctness_once(self, small_pair, monkeypatch):
-        distinct = spy(monkeypatch, diagnostics, "nn_distinctness")
-        run_diagnose(DiagnoseConfig(src=str(small_pair.src), dst=str(small_pair.dst),
-                                    noise=0.5))
-        assert len(distinct) == 1
+    def test_match_and_diagnose_of_a_pair_share_its_bases(self, small_pair, tmp_path,
+                                                          monkeypatch):
+        solves = spy(monkeypatch, cli, "eigenbasis")
+        run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                              out=str(tmp_path / "map.txt")))            # hks
+        run_diagnose(DiagnoseConfig(src=str(small_pair.src), dst=str(small_pair.dst)))
+        assert len(solves) == 2
 
     def test_second_match_of_a_source_prepares_only_the_target(self, small_pair,
                                                                tmp_path, monkeypatch):
@@ -424,10 +438,31 @@ class TestSideCache:
                           out=str(tmp_path / "map.txt"), desc="stack",
                           refine="proper-adjoint")
         run_match(cfg)
-        distinct = spy(monkeypatch, diagnostics, "nn_distinctness")
         solves = spy(monkeypatch, cli, "eigenbasis")
         run_match(replace(cfg, dst=str(other)))
-        assert (len(distinct), len(solves)) == (0, 1)
+        assert len(solves) == 1
+
+
+class TestBenchTrace:
+    """The benchmark's tracer (bench/spans.py) still sees each layer's calls."""
+
+    def test_trace_reads_every_layer_of_a_match_and_a_diagnose(self, small_pair,
+                                                                 tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        module_spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        with tracer.installed(op=0):
+            run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                                  out=str(tmp_path / "map.txt")))
+            run_diagnose(DiagnoseConfig(src=str(small_pair.src), dst=str(small_pair.dst)))
+        assert tracer.counts[(0, "spectral.eigenbasis_calls")] == 2
+        seconds = tracer.per_op()[0]
+        for span in ("spectral.eigenbasis", "spectral.smooth", "descriptors.build",
+                     "diagnostics.distinct"):
+            assert seconds[span] > 0, span
 
 
 class TestLandmarkParsing:

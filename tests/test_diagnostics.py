@@ -7,10 +7,11 @@ inputs and check every verdict field.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from fmapkit import diagnostics, fmap
+from fmapkit import cli, diagnostics, synth
+from fmapkit.cli import DiagnoseConfig
 from fmapkit.diagnostics import (
     OracleVerdict,
     StructureReport,
@@ -26,6 +27,17 @@ from fmapkit.diagnostics import (
 from fmapkit.errors import LengthMismatch, ZeroFeatures
 from fmapkit.fmap import PointMap, convert_adjoint, soft_map
 from fmapkit.spectral import eigenbasis
+
+
+def assert_equals_full_distance_table(F):
+    """nn_distinctness, and each row's nearest-other distance behind it, are
+    the values read off the full cdist table."""
+    sq = cdist(F, F, "sqeuclidean")
+    np.fill_diagonal(sq, np.inf)
+    assert np.array_equal(diagnostics._nearest_other(F), sq.min(axis=1))
+    d = cdist(F, F)
+    np.fill_diagonal(d, np.inf)
+    assert nn_distinctness(F) == float(d.min(axis=1).mean())
 
 
 @pytest.fixture(scope="module")
@@ -126,20 +138,28 @@ class TestRankAndDistinctness:
         F = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
         assert nn_distinctness(F) < 2.0  # two of three rows coincide
 
-    @pytest.mark.parametrize("block", [1, 3, None])
-    @settings(deadline=None, max_examples=50)
+    @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 4).flatmap(lambda d: st.lists(
         st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=1, max_size=5)),
         st.lists(st.integers(0, 4), min_size=2, max_size=12))
-    def test_nn_distinctness_equals_full_distance_table(self, block, pool, picks):
+    @example([[0.0, 3.0], [4.0, 0.0]], [0, 1])   # two rows: no runner-up
+    def test_nn_distinctness_equals_full_distance_table(self, pool, picks):
         # rows drawn from a small pool, so duplicates are common
         F = np.array([pool[i % len(pool)] for i in picks])
-        d = cdist(F, F)
-        np.fill_diagonal(d, np.inf)
-        with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                mp.setattr(fmap, "_NN_BLOCK", block)
-            assert nn_distinctness(F) == float(d.min(axis=1).mean())
+        assert_equals_full_distance_table(F)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("desc", ["xyz", "stack"])
+    def test_nn_distinctness_is_exact_on_symmetric_ties(self, level, desc):
+        # icosphere rows have many nearest neighbours at exactly equal distances
+        _, features = cli._prepare_side(synth.icosphere(level), "ico",
+                                        DiagnoseConfig(src="a", dst="b", desc=desc))
+        assert_equals_full_distance_table(features.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nn_distinctness_of_a_non_finite_stack_is_nan(self, bad):
+        F = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, bad]])
+        assert np.isnan(nn_distinctness(F))
 
 
 class TestEnergyDecomposition:

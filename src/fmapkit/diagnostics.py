@@ -32,6 +32,7 @@ from .mesh import _fmt
 from .spectral import SpectralBasis
 
 ORACLE_TOL = 1e-8
+_KD_LEAFSIZE = 16   # cKDTree's default; tests shrink it to grow deep trees
 
 
 def measure_completeness(basis: SpectralBasis, features) -> float:
@@ -118,7 +119,7 @@ def _nearest_other(values: np.ndarray) -> np.ndarray:
     n, d = values.shape
     if not d:
         return np.zeros(n)   # rows with no columns coincide
-    tree = cKDTree(values)
+    tree = cKDTree(values, leafsize=_KD_LEAFSIZE)
     dist, idx = tree.query(values, k=min(3, n))
     # the other rows in the tree's order; a duplicate may come before the row
     order = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")

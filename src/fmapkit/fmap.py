@@ -12,11 +12,13 @@ Direction bookkeeping, fixed package-wide:
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _blas
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
 
@@ -26,8 +28,6 @@ RANK_RTOL = 1e-10
 
 DEFAULT_TAU = 0.07
 DEFAULT_MU = 1e-3
-
-_NN_BLOCK = 2048
 
 
 @dataclass
@@ -62,12 +62,19 @@ class PointMap:
                 raise LengthMismatch(
                     f"soft map matrix must be (n2, {self.n_source}), got {self.matrix.shape}"
                 )
-            # Row sums and a scalar min keep the extra memory O(n2). A NaN
+            # Row sums and row minima keep the extra memory O(n2). A NaN
             # compares False to everything, so the sums catch non-finite rows.
-            sums = self.matrix.sum(axis=1)
+            m = self.matrix
+            sums, lows = np.empty(len(m)), np.empty(len(m))
+
+            def check(a, b):
+                np.sum(m[a:b], axis=1, out=sums[a:b])
+                np.min(m[a:b], axis=1, initial=0.0, out=lows[a:b])
+
+            _blas.row_blocks(check, len(m))
             if (
                 not np.isfinite(sums).all()
-                or (self.matrix.size and self.matrix.min() < 0)
+                or np.any(lows < 0)
                 or np.any(np.abs(sums - 1.0) > 1e-9)
             ):
                 raise LengthMismatch(
@@ -88,7 +95,12 @@ class PointMap:
             raise LengthMismatch(
                 f"{values.shape[0]} rows for a map with n_source {self.n_source}"
             )
-        return values[self.indices] if self.kind == "hard" else self.matrix @ values
+        if self.kind == "hard":
+            return values[self.indices]
+        m = self.matrix
+        out = np.empty(m.shape[:1] + values.shape[1:])
+        _blas.row_blocks(lambda a, b: np.matmul(m[a:b], values, out=out[a:b]), len(m))
+        return out
 
 
 def _feature_values(f) -> np.ndarray:
@@ -149,12 +161,14 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
         raise RankDeficient(f"regularized row system is singular: {exc}") from exc
 
 
+@single_threaded()
 def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of the nearest row of `points` for every row of `queries`.
 
     Squared Euclidean metric, computed coordinate-difference-wise (so values
     agree bit for bit with a naive double loop); ties resolve to the lowest
-    index. Block-wise to bound memory.
+    index. Runs on the row blocks of `_blas.row_blocks`, so it holds one
+    (ROW_BLOCK, len(points)) distance block per worker.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -162,10 +176,21 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
         )
-    idx = np.empty(len(queries), dtype=np.int64)
-    for start in range(0, len(queries), _NN_BLOCK):
-        d = cdist(queries[start:start + _NN_BLOCK], points, metric="sqeuclidean")
-        idx[start:start + len(d)] = np.argmin(d, axis=1)
+    n = len(queries)
+    idx = np.empty(n, dtype=np.int64)
+    # one distance block per worker, allocated here: blocks allocated by
+    # the workers stay in glibc's per-thread arenas and raise the peak RSS
+    buffers = queue.SimpleQueue()
+    for _ in range(_blas.workers(n)):
+        buffers.put(np.empty((min(_blas.ROW_BLOCK, n), len(points))))
+
+    def block(a, b):
+        buf = buffers.get()
+        d = cdist(queries[a:b], points, metric="sqeuclidean", out=buf[:b - a])
+        idx[a:b] = np.argmin(d, axis=1)
+        buffers.put(buf)
+
+    _blas.row_blocks(block, n)
     return idx
 
 
@@ -201,24 +226,31 @@ def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> PointMap:
     Pi[i, j] = exp(<G2[i], G1[j]> / tau) / sum_k exp(<G2[i], G1[k]> / tau),
     computed with a per-row max shift so large similarities cannot overflow.
 
-    Every step after the product works in place on the one (n2, n1) array,
-    so the call allocates a single n2 x n1 float64 matrix (52 MB at
-    n = 2562). The steps and their order are those of the out-of-place
-    expression exp(s - s.max(1)) / sum with s = (G2 @ G1.T) / tau, so the
-    result is bit-identical to it. A non-finite similarity (a NaN or an
-    infinite descriptor entry) gives a non-finite row, which PointMap
-    rejects with LengthMismatch.
+    The call allocates a single n2 x n1 float64 matrix (52 MB at
+    n = 2562) and fills it per `_blas.row_blocks` block, on the caller's
+    BLAS threads: the block's similarity product, then the shift, `exp` and
+    normalisation in place. The steps are those of exp(s - s.max(1)) / sum
+    with s = (G2 @ G1.T) / tau; on an AVX-512 OpenBLAS the result is
+    bit-identical to that expression, on any build it does not depend on
+    the thread count. A non-finite similarity (a NaN or an infinite
+    descriptor entry) gives a non-finite row, which PointMap rejects with
+    LengthMismatch.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     v1, v2 = _feature_values(G1), _feature_values(G2)
     if v1.shape[1] != v2.shape[1]:
         raise LengthMismatch(f"dimension mismatch: {v1.shape[1]} vs {v2.shape[1]}")
-    p = v2 @ v1.T
-    p /= tau
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p = np.empty((len(v2), len(v1)))
+
+    def block(a, b):
+        s = np.matmul(v2[a:b], v1.T, out=p[a:b])
+        s /= tau
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+
+    _blas.row_blocks(block, len(v2))
     return PointMap("soft", n_source=v1.shape[0], matrix=p)
 
 

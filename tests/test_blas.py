@@ -1,5 +1,6 @@
-"""BLAS thread ownership: the single-threaded helper and the cross-thread
-determinism contract (byte-identical outputs at any OpenBLAS thread count)."""
+"""BLAS thread ownership: the single-threaded helper, the row blocks that
+spend the caller's threads, and the cross-thread determinism contract
+(byte-identical outputs at any OpenBLAS thread count)."""
 
 import os
 import subprocess
@@ -7,24 +8,31 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import fmapkit
-from fmapkit import _blas, diagnostics, fmap, refine, spectral, synth
+from fmapkit import _blas, cli, diagnostics, fmap, refine, spectral, synth
+from fmapkit.errors import LengthMismatch
+from fmapkit.mesh import save_mesh
 
 no_blas_control = pytest.mark.skipif(
     not _blas.controlled_libraries(),
     reason="fmapkit controls no BLAS library in this process",
 )
 
-# every public function that reaches BLAS or LAPACK (see fmapkit._blas)
+# every public function that reaches BLAS or LAPACK, or reads the caller's
+# thread count for its row blocks (see fmapkit._blas)
 ENTRY_POINTS = [
+    _blas.row_blocks,
     spectral.eigenbasis,
     spectral.SpectralBasis.project,
     spectral.SpectralBasis.reconstruct,
     fmap.PointMap.apply,
     fmap.solve_fmap,
     fmap.convert_adjoint,
+    fmap.nearest_rows,
     fmap.soft_map,
     fmap.properness_project,
     fmap.loss_unsupervised,
@@ -40,14 +48,24 @@ ENTRY_POINTS = [
 
 
 @pytest.fixture
-def two_threads():
-    """Every controlled library at 2 threads; the caller's counts restored after."""
+def blas_threads():
+    """A setter of every controlled library's count; the caller's counts restored after."""
     before = _blas.thread_counts()
-    for _, _, set_ in _blas._controls():
-        set_(2)
-    yield (2,) * len(before)
+
+    def set_all(count):
+        for _, _, set_ in _blas._controls():
+            set_(count)
+        return (count,) * len(before)
+
+    yield set_all
     for (_, _, set_), count in zip(_blas._controls(), before):
         set_(count)
+
+
+@pytest.fixture
+def two_threads(blas_threads):
+    """Every controlled library at 2 threads; the caller's counts restored after."""
+    return blas_threads(2)
 
 
 @_blas.single_threaded()
@@ -141,6 +159,163 @@ class TestSingleThreaded:
         assert _blas.thread_counts() == two_threads
 
 
+def _row_block_outputs(n):
+    """soft_map, soft PointMap.apply and nearest_rows, each over n rows."""
+    rng = np.random.default_rng(n)
+    g1, g2 = rng.standard_normal((40, 6)), rng.standard_normal((n, 6))
+    pi = fmap.soft_map(g1, g2, tau=0.3)
+    points = np.repeat(rng.standard_normal((20, 6)), 2, axis=0)   # exact ties
+    return pi.matrix, pi.apply(rng.standard_normal((40, 5))), fmap.nearest_rows(g2, points)
+
+
+@no_blas_control
+@pytest.mark.parametrize("row_block", [1, 7, None])
+@pytest.mark.parametrize("n", [1, 95, 96, 97, 197])
+def test_row_block_outputs_do_not_depend_on_the_thread_count(blas_threads, monkeypatch,
+                                                             n, row_block):
+    if row_block is not None:
+        monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
+    blocks = -(-n // _blas.ROW_BLOCK)
+    outputs = {}
+    for threads in (1, 2, 3):
+        blas_threads(threads)
+        with _blas.single_threaded():
+            assert _blas.workers(n) == min(threads, blocks)
+        outputs[threads] = _row_block_outputs(n)
+    for threads in (2, 3):
+        for got, want in zip(outputs[threads], outputs[1]):
+            assert np.array_equal(got, want)
+
+
+@no_blas_control
+def test_blocks_run_on_the_callers_thread_count(blas_threads):
+    # the first three blocks wait for each other, so they need three threads
+    blas_threads(3)
+    first_three = threading.Barrier(3, timeout=10)
+    seen = set()
+
+    def block(a, b):
+        if a < 3 * _blas.ROW_BLOCK:
+            first_three.wait()
+        seen.add(threading.get_ident())
+
+    _blas.row_blocks(block, 5 * _blas.ROW_BLOCK)
+    assert len(seen) == 3
+
+
+@no_blas_control
+def test_blocks_run_under_the_callers_errstate(two_threads):
+    both_in = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def block(a, b):
+        if a < 2 * _blas.ROW_BLOCK:
+            both_in.wait()
+        seen.append((threading.get_ident(), np.geterr()["invalid"]))
+
+    with np.errstate(invalid="raise"):
+        _blas.row_blocks(block, 4 * _blas.ROW_BLOCK)
+    assert len({ident for ident, _ in seen}) == 2
+    assert {state for _, state in seen} == {"raise"}
+
+
+@no_blas_control
+def test_every_block_runs_once_under_stress(blas_threads, monkeypatch):
+    # more workers than cores, one-row blocks, frequent switches: each row is
+    # written exactly once, and the shared distance buffers never collide
+    blas_threads(8)
+    monkeypatch.setattr(_blas, "ROW_BLOCK", 1)
+    rng = np.random.default_rng(8)
+    points, queries = rng.standard_normal((30, 3)), rng.standard_normal((600, 3))
+    hits = np.zeros(600, dtype=np.int64)
+
+    def block(a, b):
+        hits[a:b] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _blas.row_blocks(block, 600)
+        idx = fmap.nearest_rows(queries, points)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(hits, np.ones(600, dtype=np.int64))
+    assert np.array_equal(idx, np.argmin(cdist(queries, points, "sqeuclidean"), axis=1))
+
+
+def test_one_worker_without_a_controlled_library(monkeypatch):
+    monkeypatch.setattr(_blas, "_controls", lambda: ())
+    with _blas.single_threaded():
+        assert _blas.workers(10 * _blas.ROW_BLOCK) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_finite_row_in_any_block_raises(two_threads, where, bad):
+    block = _blas.ROW_BLOCK
+    n = 2 * block + 5
+    row = {"first": 0, "middle": block + 4, "last": n - 1}[where]
+    rng = np.random.default_rng(3)
+    g1, g2 = rng.standard_normal((30, 4)), rng.standard_normal((n, 4))
+    g2[row, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch):
+        fmap.soft_map(g1, g2)
+    matrix = np.full((n, 30), 1 / 30)
+    matrix[row, 3] = bad
+    with pytest.raises(LengthMismatch):
+        fmap.PointMap("soft", n_source=30, matrix=matrix)
+
+
+@no_blas_control
+def test_worker_exception_reaches_the_caller(two_threads):
+    before = threading.active_count()
+    caller = threading.get_ident()
+    both_in = threading.Barrier(2, timeout=10)
+
+    def block(a, b):
+        if a < 2 * _blas.ROW_BLOCK:
+            both_in.wait()
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+
+    with pytest.raises(RuntimeError, match="worker failed"):
+        _blas.row_blocks(block, 4 * _blas.ROW_BLOCK)
+    assert _blas._depth == 0
+    assert _blas.thread_counts() == two_threads
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_call(two_threads, tmp_path):
+    mesh1 = synth.icosphere(2)
+    mesh2, _ = synth.permuted_copy(mesh1, seed=3)
+    save_mesh(mesh1, tmp_path / "src.off")
+    save_mesh(mesh2, tmp_path / "dst.off")
+    basis1 = spectral.eigenbasis(spectral.build_laplacian(mesh1), 20)
+    basis2 = spectral.eigenbasis(spectral.build_laplacian(mesh2), 20)
+    C = np.eye(20)
+    pi = fmap.soft_map(basis1.phi, basis2.phi)
+    argv = ["--src", str(tmp_path / "src.off"), "--dst", str(tmp_path / "dst.off")]
+    calls = {
+        "soft_map": lambda: fmap.soft_map(basis1.phi, basis2.phi),
+        "PointMap": lambda: fmap.PointMap("soft", n_source=pi.n_source, matrix=pi.matrix),
+        "apply": lambda: pi.apply(basis1.phi),
+        "nearest_rows": lambda: fmap.nearest_rows(basis2.phi, basis1.phi),
+        "convert_adjoint": lambda: fmap.convert_adjoint(C, basis1.phi, basis2.phi),
+        "convert_feature_nn": lambda: fmap.convert_feature_nn(basis1.phi, basis2.phi),
+        "properness_project": lambda: fmap.properness_project(pi, basis1.phi, basis2.phi,
+                                                              basis2.mass),
+        "refine_proper": lambda: refine.refine_proper(C, basis1, basis2, iters=3),
+        "match": lambda: cli.main(["match", *argv, "--out", str(tmp_path / "map.txt"),
+                                   "--refine", "proper-adjoint"]),
+        "diagnose": lambda: cli.main(["diagnose", *argv]),
+    }
+    before = threading.active_count()
+    for name, call in calls.items():
+        result = call()
+        assert not isinstance(result, int) or result == 0, name   # CLI exit code
+        assert threading.active_count() == before, name
+
+
 # Criterion 07's seeded refine trace (C_gt through properness_project, which
 # computes exactly conftest's Phi2^T M2 Phi1[perm]) and a 642-vertex
 # `match --desc stack --refine proper-adjoint`, run in a fresh interpreter.
@@ -194,8 +369,10 @@ def _run_contract(out: Path, threads: int) -> dict:
 
 @no_blas_control
 def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
+    # 3 threads too: on a 2-core machine OpenBLAS caps the variable at 2
     one = _run_contract(tmp_path / "t1", 1)
-    two = _run_contract(tmp_path / "t2", 2)
-    assert one["trace"] == two["trace"]
-    assert one["map"] == two["map"]
-    assert one["report"] == two["report"]
+    for threads in (2, 3):
+        other = _run_contract(tmp_path / f"t{threads}", threads)
+        assert one["trace"] == other["trace"]
+        assert one["map"] == other["map"]
+        assert one["report"] == other["report"]

@@ -446,14 +446,18 @@ class TestSideCache:
 class TestBenchTrace:
     """The benchmark's tracer (bench/spans.py) still sees each layer's calls."""
 
-    def test_trace_reads_every_layer_of_a_match_and_a_diagnose(self, small_pair,
-                                                                 tmp_path, monkeypatch):
+    @staticmethod
+    def tracer(monkeypatch):
         monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
         path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
         module_spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(module_spec)
         module_spec.loader.exec_module(spans)
-        tracer = spans.Tracer()
+        return spans.Tracer()
+
+    def test_trace_reads_every_layer_of_a_match_and_a_diagnose(self, small_pair,
+                                                                 tmp_path, monkeypatch):
+        tracer = self.tracer(monkeypatch)
         with tracer.installed(op=0):
             run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
                                   out=str(tmp_path / "map.txt")))
@@ -463,6 +467,22 @@ class TestBenchTrace:
         for span in ("spectral.eigenbasis", "spectral.smooth", "descriptors.build",
                      "diagnostics.distinct"):
             assert seconds[span] > 0, span
+
+    def test_trace_reads_the_refine_layers_of_a_match(self, small_pair, tmp_path,
+                                                      monkeypatch):
+        # the soft map and the projection keep their own spans and byte count,
+        # so a refine loop that stops calling them cannot zero the metrics
+        tracer = self.tracer(monkeypatch)
+        with tracer.installed(op=0):
+            run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                                  out=str(tmp_path / "map.txt"), desc="stack",
+                                  refine="proper-adjoint"))
+        seconds = tracer.per_op()[0]
+        for span in ("fmap.softmap", "fmap.project"):
+            assert seconds[span] > 0, span
+        n1 = load_mesh(small_pair.src).n_vertices
+        n2 = load_mesh(small_pair.dst).n_vertices
+        assert tracer.peaks["fmap.softmap_bytes"] == n2 * n1 * 8
 
 
 class TestLandmarkParsing:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
+from fmapkit import _blas
 from fmapkit._blas import single_threaded
 from fmapkit.errors import LengthMismatch, RankDeficient
 from fmapkit.fmap import (
@@ -111,12 +112,30 @@ class TestNearestRows:
         assert nearest_rows(queries, points)[0] == 0
 
     def test_blockwise_consistency(self):
-        # more queries than one processing block
         rng = np.random.default_rng(6)
         points = rng.standard_normal((50, 3))
         queries = rng.standard_normal((5000, 3))
+        # many row blocks and a partial last one
+        assert len(queries) > _blas.ROW_BLOCK and len(queries) % _blas.ROW_BLOCK
         assert np.array_equal(nearest_rows(queries, points),
                               orc.brute_nn(queries, points))
+
+    @pytest.mark.parametrize("row_block", [1, 7, None])
+    def test_ties_on_both_sides_of_a_block_boundary(self, monkeypatch, row_block):
+        # duplicated points (columns 0 and 4 of the distance table) and
+        # mirrored points (columns 1 and 2) tie exactly for the rows just
+        # before and just after each block boundary: the lowest index wins
+        if row_block is not None:
+            monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
+        block = _blas.ROW_BLOCK
+        points = np.array([[2.0, 0.0], [0.0, 1.5], [0.0, -1.5], [3.0, 3.0],
+                           [2.0, 0.0]])
+        queries = np.zeros((3 * block + 2, 2))
+        queries[::2] = [2.0, 0.0]
+        ties = np.where(np.arange(len(queries)) % 2 == 0, 0, 1)
+        for edge in (block - 1, block, 2 * block - 1, 2 * block):
+            assert ties[edge] == orc.brute_nn(queries[edge:edge + 1], points)[0]
+        assert np.array_equal(nearest_rows(queries, points), ties)
 
 
 class TestPointMap:

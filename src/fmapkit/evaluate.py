@@ -11,6 +11,9 @@ from .fmap import PointMap
 from .mesh import TriMesh, _fmt, graph_geodesics
 
 _GEODESIC_BLOCK_BYTES = 64 << 20  # bytes of Dijkstra rows geodesic_error holds at once
+_GROUP_ROWS = 32       # missed ground-truth vertices searched together under one limit
+_LANDMARKS = 8         # farthest-point landmarks whose rows bound each miss's distance
+_BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
 
 
 def _indices(m) -> np.ndarray:
@@ -21,15 +24,70 @@ def _indices(m) -> np.ndarray:
     return np.asarray(m, dtype=np.int64).ravel()
 
 
+def _landmark_bounds(mesh: TriMesh, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Upper bounds on the distances d(g_i, p_i), by the triangle inequality.
+
+    The landmarks are picked by farthest-point sampling from g[0], one
+    single-source search each; the bound is min over landmarks L of
+    d(L, g_i) + d(L, p_i), widened by _BOUND_SLACK. A pair no landmark
+    reaches on both ends gets +inf.
+    """
+    bound = np.full(g.size, np.inf)
+    nearest = np.full(mesh.n_vertices, np.inf)  # distance to the closest landmark so far
+    landmark = g[0]
+    for _ in range(min(_LANDMARKS, mesh.n_vertices)):
+        row = graph_geodesics(mesh, [landmark])[0]
+        np.minimum(bound, row[g] + row[p], out=bound)
+        np.minimum(nearest, row, out=nearest)
+        landmark = int(np.argmax(nearest))
+    return bound * (1.0 + _BOUND_SLACK)
+
+
+def _search(mesh: TriMesh, p: np.ndarray, g: np.ndarray, reach: np.ndarray,
+            step: int) -> np.ndarray:
+    """d(g_i, p_i) for every i, searched from the unique g.
+
+    Sources are ordered by the largest `reach` among their entries and
+    searched `step` at a time, each group with its largest reach as limit.
+    An entry the limit cut off (its distance exceeds its finite reach) is
+    searched again with no limit.
+    """
+    uniq, inverse = np.unique(g, return_inverse=True)
+    far = np.full(uniq.size, -np.inf)
+    np.maximum.at(far, inverse, reach)
+    order = np.argsort(far, kind="stable")
+    rank = np.argsort(order)[inverse]  # search position of each entry's source
+    d = np.empty(g.size)
+    for start in range(0, uniq.size, step):
+        group = order[start:start + step]
+        rows = graph_geodesics(mesh, uniq[group], limit=far[group[-1]])
+        sel = np.nonzero((rank >= start) & (rank < start + step))[0]
+        d[sel] = rows[rank[sel] - start, p[sel]]
+        del rows
+    cut = np.nonzero(np.isinf(d) & np.isfinite(reach))[0]
+    if cut.size:
+        d[cut] = _search(mesh, p[cut], g[cut], np.full(cut.size, np.inf), step)
+    return d
+
+
 def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
     """Per-vertex geodesic error of a predicted map against ground truth.
 
     Both maps index into mesh_target (the shape the errors live on). Each
     entry is the graph-geodesic distance between prediction and ground
     truth, divided by the square root of the total surface area, times 100.
-    Exact hits score 0.0; Dijkstra runs only from the misses' ground truth,
-    in blocks of _GEODESIC_BLOCK_BYTES (memory O(block * n), not O(n^2)). A
-    pair separated by a disconnected component raises DisconnectedMesh.
+    Exact hits score 0.0 and Dijkstra runs only from the misses' unique
+    ground truth, at most _GROUP_ROWS sources (and _GEODESIC_BLOCK_BYTES of
+    rows) per call: memory O(group * n), not O(n^2).
+
+    With more than _GROUP_ROWS such sources, each miss's distance is first
+    bounded through _LANDMARKS landmark searches (_landmark_bounds), and
+    each group of sources, ordered by bound, searches only up to its
+    largest bound. A distance within the limit is the same float as with
+    no limit; a miss the limit cut off (a bound that rounding made too
+    tight) is searched again with none. So the errors are the same bits as
+    from a full n x n table. A pair separated by a disconnected component
+    raises DisconnectedMesh.
     """
     p, g = _indices(pred), _indices(gt)
     if p.size != g.size:
@@ -38,15 +96,13 @@ def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
     for name, arr in (("prediction", p), ("ground truth", g)):
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise IndexOutOfRange(f"{name} indexes outside [0, {n})")
-    d = np.zeros(p.size)
     miss = np.nonzero(p != g)[0]
-    uniq, inverse = np.unique(g[miss], return_inverse=True)
-    step = max(1, _GEODESIC_BLOCK_BYTES // (8 * max(n, 1)))
-    for start in range(0, uniq.size, step):
-        rows = graph_geodesics(mesh_target, uniq[start:start + step])
-        sel = (inverse >= start) & (inverse < start + step)
-        d[miss[sel]] = rows[inverse[sel] - start, p[miss[sel]]]
-        del rows
+    step = min(_GROUP_ROWS, max(1, _GEODESIC_BLOCK_BYTES // (8 * max(n, 1))))
+    reach = np.full(miss.size, np.inf)
+    if np.unique(g[miss]).size > _GROUP_ROWS:
+        reach = _landmark_bounds(mesh_target, g[miss], p[miss])
+    d = np.zeros(p.size)
+    d[miss] = _search(mesh_target, p[miss], g[miss], reach, step)
     if np.any(np.isinf(d)):
         bad = int(np.nonzero(np.isinf(d))[0][0])
         raise DisconnectedMesh(

@@ -53,6 +53,11 @@ class TriMesh:
         If a triangle has repeated vertices, its area is below the
         degeneracy floor (1e-12 x squared bounding-box diagonal), or a
         vertex is referenced by no triangle (its lumped mass would be 0).
+
+    Notes
+    -----
+    edge_graph() is memoised on the instance and rebuilt when `vertices` or
+    `triangles` is reassigned; the arrays must not be written in place.
     """
 
     def __init__(self, vertices, triangles):
@@ -73,6 +78,7 @@ class TriMesh:
             raise DegenerateMesh("triangle with repeated vertex index")
         self.vertices = v
         self.triangles = t
+        self._graph = (None, None, None)  # (vertices, triangles, edge graph)
 
         areas = self.triangle_areas()
         bbox_diag_sq = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2)) if len(v) else 0.0
@@ -122,13 +128,21 @@ class TriMesh:
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as sorted index pairs, shape (e, 2)."""
-        t = self.triangles
+        t, n = self.triangles, self.n_vertices
         raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         raw.sort(axis=1)
-        return np.unique(raw, axis=0)
+        keys = np.unique(raw[:, 0] * n + raw[:, 1])  # row-major order of the pairs
+        return np.stack([keys // n, keys % n], axis=1)
 
     def edge_graph(self) -> sparse.csr_matrix:
-        """Symmetric sparse adjacency with Euclidean edge lengths as weights."""
+        """Symmetric sparse adjacency with Euclidean edge lengths as weights.
+
+        Built once per (vertices, triangles) pair of arrays: reassigning
+        either attribute builds a new graph on the next call.
+        """
+        v, t, g = self._graph
+        if v is self.vertices and t is self.triangles:
+            return g
         e = self.edges()
         w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
         n = self.n_vertices
@@ -136,11 +150,12 @@ class TriMesh:
             (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
                                       np.concatenate([e[:, 1], e[:, 0]]))),
             shape=(n, n),
-        )
-        return g.tocsr()
+        ).tocsr()
+        self._graph = (self.vertices, self.triangles, g)
+        return g
 
 
-def graph_geodesics(mesh: TriMesh, sources=None) -> np.ndarray:
+def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
     """Shortest-path distances along mesh edges (Euclidean weights).
 
     Parameters
@@ -148,6 +163,10 @@ def graph_geodesics(mesh: TriMesh, sources=None) -> np.ndarray:
     mesh : TriMesh
     sources : array_like of int, optional
         Source vertices; all vertices when omitted.
+    limit : float, optional
+        Search radius: vertices farther than `limit` from a source get +inf.
+        Every distance <= limit is the same float as with no limit, since
+        its shortest path runs only through nearer vertices.
 
     Returns
     -------
@@ -155,6 +174,11 @@ def graph_geodesics(mesh: TriMesh, sources=None) -> np.ndarray:
         Row s holds distances from sources[s] to every vertex. Unreachable
         vertices get +inf; it is the caller's job to decide whether that is
         an error (see evaluate.geodesic_error).
+
+    The edge graph holds both directions of every edge with one weight, so
+    a directed search relaxes the same candidate floats as an undirected
+    one and settles the same bits; scipy's undirected mode would also scan
+    a transposed copy of the graph.
     """
     if sources is None:
         sources = np.arange(mesh.n_vertices)
@@ -163,7 +187,7 @@ def graph_geodesics(mesh: TriMesh, sources=None) -> np.ndarray:
         raise IndexOutOfRange("geodesic source index out of range")
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
-    return dijkstra(mesh.edge_graph(), directed=False, indices=sources)
+    return dijkstra(mesh.edge_graph(), directed=True, indices=sources, limit=limit)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,26 @@ def wrong_map(gt, n, seed, share=WRONG_SHARE):
     return pred
 
 
+def near_map(gt, mesh, seed, hit):
+    """gt with each miss (1 - hit of the entries) a random walk of 1 to 3 edges away."""
+    rng = np.random.default_rng(seed)
+    g = mesh.edge_graph()
+    pred, hops = np.array(gt, copy=True), rng.integers(1, 4, len(gt))
+    hops[rng.random(len(gt)) < hit] = 0
+    for step in range(3):
+        v = pred[hops > step]
+        degree = g.indptr[v + 1] - g.indptr[v]
+        pred[hops > step] = g.indices[g.indptr[v] + (rng.random(v.size) * degree).astype(int)]
+    return pred
+
+
+def two_spheres(mesh):
+    """Two disjoint copies of mesh, the second shifted clear of the first."""
+    n = mesh.n_vertices
+    return TriMesh(np.vstack([mesh.vertices, mesh.vertices + 10.0]),
+                   np.vstack([mesh.triangles, mesh.triangles + n]))
+
+
 def block_bytes(rows, n):
     """A _GEODESIC_BLOCK_BYTES that gives `rows` Dijkstra rows per block."""
     return rows * 8 * n
@@ -49,12 +69,12 @@ def block_bytes(rows, n):
 
 @pytest.fixture
 def geodesic_calls(monkeypatch):
-    """The sources of every graph_geodesics call geodesic_error makes."""
+    """(sources, limit) of every graph_geodesics call geodesic_error makes."""
     calls = []
 
-    def counting(mesh, sources=None):
-        calls.append(np.array(sources))
-        return graph_geodesics(mesh, sources)
+    def counting(mesh, sources=None, limit=np.inf):
+        calls.append((np.array(sources), limit))
+        return graph_geodesics(mesh, sources, limit=limit)
 
     monkeypatch.setattr(evaluate, "graph_geodesics", counting)
     return calls
@@ -107,23 +127,30 @@ class TestGeodesicError:
 
 
 class TestBlockedGeodesics:
-    """geodesic_error skips exact hits and runs Dijkstra in byte-capped blocks;
-    the values stay those of the full table."""
+    """geodesic_error skips exact hits and runs Dijkstra in capped groups, each
+    searching only up to a landmark bound; the values stay those of the full
+    table."""
 
-    @pytest.mark.parametrize("rows", [1, 3, None])  # None: the default, one block
+    @pytest.mark.parametrize("rows", [1, 3, None])  # None: the default group size
     @settings(deadline=None, max_examples=12)
-    @given(name=st.sampled_from(["ico162", "mesh1", "disconnected"]),
-           seed=st.integers(0, 2**32 - 1), hit=st.floats(0.0, 1.0))
-    @example(name="mesh1", seed=0, hit=0.0)
-    @example(name="mesh1", seed=1, hit=1.0)
-    @example(name="disconnected", seed=2, hit=0.0)
+    @given(name=st.sampled_from(["ico162", "mesh1", "disconnected", "two_spheres"]),
+           seed=st.integers(0, 2**32 - 1), hit=st.floats(0.0, 1.0), near=st.booleans())
+    @example(name="mesh1", seed=0, hit=0.0, near=False)
+    @example(name="mesh1", seed=1, hit=1.0, near=False)
+    @example(name="disconnected", seed=2, hit=0.0, near=False)
+    @example(name="mesh1", seed=3, hit=0.0, near=True)  # misses 1-3 edges off
+    @example(name="two_spheres", seed=4, hit=0.5, near=True)
     def test_bit_equal_to_dense_table(self, ico162, pair, disconnected, rows,
-                                      name, seed, hit):
-        mesh = {"ico162": ico162, "mesh1": pair.mesh1, "disconnected": disconnected}[name]
+                                      name, seed, hit, near):
+        mesh = {"ico162": ico162, "mesh1": pair.mesh1, "disconnected": disconnected,
+                "two_spheres": two_spheres(ico162)}[name]
         n = mesh.n_vertices
         rng = np.random.default_rng(seed)
         gt = rng.integers(0, n, n)
-        pred = np.where(rng.random(n) < hit, gt, rng.integers(0, n, n))
+        if near:
+            pred = near_map(gt, mesh, seed, hit)
+        else:
+            pred = np.where(rng.random(n) < hit, gt, rng.integers(0, n, n))
         reference = dense_errors(pred, gt, mesh)
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
@@ -149,16 +176,48 @@ class TestBlockedGeodesics:
         pred = wrong_map(pair.perm, n, seed=21)
         geodesic_error(pred, pair.perm, pair.mesh1)
         expected = np.unique(pair.perm[pred != pair.perm])
-        assert expected.size > 0
-        assert all(len(c) <= (rows or n) for c in geodesic_calls)
-        assert np.array_equal(np.concatenate(geodesic_calls), expected)
+        assert expected.size > evaluate._GROUP_ROWS
+        # the landmark searches: the leading one-source unbounded calls
+        k = next(i for i, (sources, limit) in enumerate(geodesic_calls)
+                 if sources.size > 1 or np.isfinite(limit))
+        landmarks, groups = geodesic_calls[:k], geodesic_calls[k:]
+        assert 1 <= len(landmarks) <= evaluate._LANDMARKS
+        assert landmarks[0][0][0] == pair.perm[pred != pair.perm][0]
+        searched = np.concatenate([sources for sources, _ in groups])
+        assert np.array_equal(np.sort(searched), expected)  # each one exactly once
+        assert all(len(sources) <= min(rows or n, evaluate._GROUP_ROWS)
+                   for sources, _ in groups)
+        assert all(np.isfinite(limit) for _, limit in groups)  # no re-search here
 
-    def test_peak_memory_is_a_block_not_a_table(self, pair, monkeypatch):
+    def test_few_sources_run_one_unbounded_pass(self, pair, geodesic_calls):
+        n = pair.mesh1.n_vertices
+        pred = pair.perm.copy()
+        pred[:evaluate._GROUP_ROWS] = pred[n - evaluate._GROUP_ROWS:]
+        geodesic_error(pred, pair.perm, pair.mesh1)
+        [(sources, limit)] = geodesic_calls
+        assert np.array_equal(sources, np.unique(pair.perm[:evaluate._GROUP_ROWS]))
+        assert np.isinf(limit)
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_cut_off_misses_are_searched_again(self, pair, monkeypatch, near):
+        mesh, n = pair.mesh1, pair.mesh1.n_vertices
+        calls = []
+
+        def halving(mesh, sources=None, limit=np.inf):
+            calls.append(limit)
+            return graph_geodesics(mesh, sources, limit=limit / 2)
+
+        monkeypatch.setattr(evaluate, "graph_geodesics", halving)
+        pred = near_map(pair.perm, mesh, 24, 0.75) if near else wrong_map(pair.perm, n, 24)
+        errors = geodesic_error(pred, pair.perm, mesh)
+        assert np.array_equal(errors, dense_errors(pred, pair.perm, mesh))
+        assert np.isfinite(calls).any() and np.isinf(calls[-1])
+
+    def test_peak_memory_is_a_block_not_a_table(self, pair):
         mesh = pair.mesh1
         n = mesh.n_vertices
-        monkeypatch.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(8, n))
         pred = wrong_map(pair.perm, n, seed=22)
-        geodesic_error(pred, pair.perm, mesh)  # warm every lazy import first
+        geodesic_error(pred, pair.perm, mesh)  # warm every lazy import and the graph
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -166,7 +225,7 @@ class TestBlockedGeodesics:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.1 * n * n * 8
+        assert peak < 2 * (evaluate._GROUP_ROWS + evaluate._LANDMARKS) * n * 8
 
 
 class TestEvalCliBytes:

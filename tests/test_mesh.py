@@ -9,7 +9,8 @@ all share mesh.read_table / write_table.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 import oracles as orc
 from fmapkit import mesh as mesh_module, synth
@@ -132,6 +133,38 @@ class TestEdges:
         expect = np.linalg.norm(kite.vertices[i] - kite.vertices[j])
         assert g[i, j] == pytest.approx(expect, rel=1e-15)
 
+    @settings(deadline=None, max_examples=40)
+    @given(faces=st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3, unique=True),
+                          max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(faces=[], seed=0)
+    def test_edges_equal_the_row_unique_pairs(self, faces, seed):
+        # relabel so every vertex is used; random positions are in general position
+        t = np.unique(np.array(faces, dtype=np.int64).reshape(-1), return_inverse=True)[1]
+        t = t.reshape(-1, 3)
+        v = np.random.default_rng(seed).normal(size=(int(t.max(initial=-1)) + 1, 3))
+        mesh = TriMesh(v, t)
+        raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        raw.sort(axis=1)
+        edges = mesh.edges()
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, np.unique(raw, axis=0))
+
+    def test_edge_graph_is_built_once(self, bumpy642):
+        mesh = TriMesh(bumpy642.vertices, bumpy642.triangles)
+        assert mesh.edge_graph() is mesh.edge_graph()
+
+    def test_edge_graph_follows_reassigned_arrays(self, bumpy642):
+        mesh = TriMesh(bumpy642.vertices, bumpy642.triangles)
+        first = mesh.edge_graph()
+        mesh.vertices = 2.0 * mesh.vertices
+        second = mesh.edge_graph()
+        assert second is not first
+        assert np.array_equal(second.toarray(), 2.0 * first.toarray())
+        mesh.triangles = mesh.triangles[:, ::-1].copy()  # same edges, new array
+        assert mesh.edge_graph() is not second
+        assert np.array_equal(mesh.edge_graph().toarray(), second.toarray())
+
 
 class TestGeodesics:
     def test_strip_distances_pin(self, strip):
@@ -156,6 +189,26 @@ class TestGeodesics:
         assert d.shape == (4, 4)
         assert d == pytest.approx(d.T, rel=1e-12)
         assert np.all(np.diag(d) == 0.0)
+
+    @settings(deadline=None, max_examples=10)
+    @given(name=st.sampled_from(["bumpy", "ico162", "disconnected"]),
+           subdivisions=st.integers(1, 3), amplitude=st.floats(0.0, 0.3))
+    def test_directed_search_equals_undirected(self, ico162, disconnected, name,
+                                               subdivisions, amplitude):
+        mesh = (synth.bumpy_sphere(subdivisions, amplitude) if name == "bumpy"
+                else {"ico162": ico162, "disconnected": disconnected}[name])
+        g = mesh.edge_graph()
+        directed = dijkstra(g, directed=True)
+        assert np.array_equal(directed, dijkstra(g, directed=False))
+        assert np.array_equal(graph_geodesics(mesh), directed)
+
+    def test_limit_keeps_every_distance_within_it(self, bumpy642):
+        full = graph_geodesics(bumpy642, [0, 5, 77])
+        for limit in (0.0, 0.3, float(np.median(full)), float(full.max())):
+            cut = graph_geodesics(bumpy642, [0, 5, 77], limit=limit)
+            within = full <= limit
+            assert np.array_equal(cut[within], full[within])
+            assert np.isinf(cut[~within]).all()
 
     def test_disconnected_gives_inf(self, disconnected):
         d = graph_geodesics(disconnected, [0])[0]

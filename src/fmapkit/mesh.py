@@ -57,7 +57,8 @@ class TriMesh:
     Notes
     -----
     edge_graph() is memoised on the instance and rebuilt when `vertices` or
-    `triangles` is reassigned; the arrays must not be written in place.
+    `triangles` is reassigned; the arrays must not be written in place (the
+    memo would serve the graph of the old geometry).
     """
 
     def __init__(self, vertices, triangles):
@@ -78,7 +79,7 @@ class TriMesh:
             raise DegenerateMesh("triangle with repeated vertex index")
         self.vertices = v
         self.triangles = t
-        self._graph = (None, None, None)  # (vertices, triangles, edge graph)
+        self._graph = (None, None, None, ())  # (vertices, triangles, graph, its arrays)
 
         areas = self.triangle_areas()
         bbox_diag_sq = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2)) if len(v) else 0.0
@@ -138,10 +139,15 @@ class TriMesh:
         """Symmetric sparse adjacency with Euclidean edge lengths as weights.
 
         Built once per (vertices, triangles) pair of arrays: reassigning
-        either attribute builds a new graph on the next call.
+        either attribute builds a new graph on the next call. The returned
+        matrix is shared by every caller, graph_geodesics included, and must
+        not be modified: its data, indices and indptr are read-only, and a
+        change that replaces them (setdiag of a new entry, say) makes the
+        next call build a fresh graph.
         """
-        v, t, g = self._graph
-        if v is self.vertices and t is self.triangles:
+        v, t, g, parts = self._graph
+        if (v is self.vertices and t is self.triangles
+                and all(a is b for a, b in zip(parts, (g.data, g.indices, g.indptr)))):
             return g
         e = self.edges()
         w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
@@ -151,7 +157,10 @@ class TriMesh:
                                       np.concatenate([e[:, 1], e[:, 0]]))),
             shape=(n, n),
         ).tocsr()
-        self._graph = (self.vertices, self.triangles, g)
+        parts = (g.data, g.indices, g.indptr)
+        for a in parts:
+            a.flags.writeable = False
+        self._graph = (self.vertices, self.triangles, g, parts)
         return g
 
 

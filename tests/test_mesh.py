@@ -165,6 +165,17 @@ class TestEdges:
         assert mesh.edge_graph() is not second
         assert np.array_equal(mesh.edge_graph().toarray(), second.toarray())
 
+    def test_edge_graph_rejects_in_place_edits(self, bumpy642):
+        mesh = TriMesh(bumpy642.vertices, bumpy642.triangles)
+        g = mesh.edge_graph()
+        before = graph_geodesics(mesh, [0, 9])
+        for part in (g.data, g.indices, g.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                part *= 2
+        g.setdiag(1.0)  # no diagonal yet: replaces the arrays instead of writing them
+        assert mesh.edge_graph() is not g
+        assert np.array_equal(graph_geodesics(mesh, [0, 9]), before)
+
 
 class TestGeodesics:
     def test_strip_distances_pin(self, strip):

@@ -14,6 +14,7 @@ file is read.
 
 from __future__ import annotations
 
+import mmap
 from itertools import islice
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .errors import DegenerateMesh, IndexOutOfRange, ParseError
 AREA_FLOOR_SCALE = 1e-12
 
 _TABLE_CHUNK_ROWS = 1024  # rows of a text table whose tokens _table converts at once
+_GEODESIC_BLOCK_ROWS = 32  # sources per Dijkstra call when a larger table is assembled
 
 
 def _fmt(x: float) -> str:
@@ -188,6 +190,10 @@ def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
     a directed search relaxes the same candidate floats as an undirected
     one and settles the same bits; scipy's undirected mode would also scan
     a transposed copy of the graph.
+
+    More than _GEODESIC_BLOCK_ROWS sources are searched that many at a time
+    into a table in its own memory mapping (_mapped_table), so dropping the
+    table returns its pages at once. Each row is the same bits either way.
     """
     if sources is None:
         sources = np.arange(mesh.n_vertices)
@@ -196,7 +202,29 @@ def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
         raise IndexOutOfRange("geodesic source index out of range")
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
-    return dijkstra(mesh.edge_graph(), directed=True, indices=sources, limit=limit)
+    graph = mesh.edge_graph()
+    if sources.size <= _GEODESIC_BLOCK_ROWS:
+        return dijkstra(graph, directed=True, indices=sources, limit=limit)
+    table = _mapped_table(sources.size, mesh.n_vertices)
+    for start in range(0, sources.size, _GEODESIC_BLOCK_ROWS):
+        block = sources[start:start + _GEODESIC_BLOCK_ROWS]
+        table[start:start + block.size] = dijkstra(graph, directed=True, indices=block,
+                                                   limit=limit)
+    return table
+
+
+def _mapped_table(rows: int, cols: int) -> np.ndarray:
+    """A writable float64 (rows, cols) array in an anonymous mapping of its own.
+
+    Freeing the array unmaps it. A malloc'ed table would not always leave:
+    glibc raises its mmap threshold to the size of each mapped block it
+    frees, so the next table of about that size lands on the heap and stays
+    resident after it is freed, and a later, larger one is mapped beside
+    it. A caller that builds tables of varying size one after another would
+    then peak at one or two tables depending on the order of their sizes.
+    """
+    buf = mmap.mmap(-1, 8 * rows * cols)
+    return np.frombuffer(buf, dtype=np.float64).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------

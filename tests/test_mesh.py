@@ -7,6 +7,9 @@ format tests here cover every numeric text reader in the package, since they
 all share mesh.read_table / write_table.
 """
 
+import mmap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -213,13 +216,30 @@ class TestGeodesics:
         assert np.array_equal(directed, dijkstra(g, directed=False))
         assert np.array_equal(graph_geodesics(mesh), directed)
 
-    def test_limit_keeps_every_distance_within_it(self, bumpy642):
-        full = graph_geodesics(bumpy642, [0, 5, 77])
+    # 72 sources run in blocks into a mapped table
+    @pytest.mark.parametrize("sources", [[0, 5, 77], list(range(0, 642, 9))])
+    def test_limit_keeps_every_distance_within_it(self, bumpy642, sources):
+        full = graph_geodesics(bumpy642, sources)
+        assert np.array_equal(full, dijkstra(bumpy642.edge_graph(), indices=sources))
         for limit in (0.0, 0.3, float(np.median(full)), float(full.max())):
-            cut = graph_geodesics(bumpy642, [0, 5, 77], limit=limit)
+            cut = graph_geodesics(bumpy642, sources, limit=limit)
             within = full <= limit
             assert np.array_equal(cut[within], full[within])
             assert np.isinf(cut[~within]).all()
+            assert cut.flags.writeable
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").is_file(),
+                        reason="reads resident memory from /proc/self/statm")
+    def test_freed_table_leaves_no_resident_pages(self, bumpy642):
+        def resident():
+            return int(Path("/proc/self/statm").read_text().split()[1]) * mmap.PAGESIZE
+
+        graph_geodesics(bumpy642)  # a larger table first: a malloc heap would keep its pages
+        table = graph_geodesics(bumpy642, np.arange(500))
+        alive = resident()
+        nbytes = table.nbytes
+        del table
+        assert alive - resident() >= 0.9 * nbytes
 
     def test_disconnected_gives_inf(self, disconnected):
         d = graph_geodesics(disconnected, [0])[0]

@@ -19,22 +19,19 @@ from fmapkit.descriptors import (
     descriptor_wks,
     descriptor_xyz,
     normalize_columns,
-    FeatureMatrix,
 )
 from fmapkit.evaluate import accuracy_curve, geodesic_error
 from fmapkit.fmap import convert_adjoint, convert_feature_nn, solve_fmap
 from fmapkit.spectral import build_laplacian, eigenbasis
 
 
-def raw_stack(mesh, basis, mass, mesh_id):
+def raw_stack(mesh, basis, mass):
     parts = [
-        descriptor_hks(basis, default_hks_times(basis.lam), mesh_id),
-        descriptor_wks(basis, *default_wks_energies(basis.lam), mesh_id),
-        descriptor_xyz(mesh, mesh_id),
+        descriptor_hks(basis, default_hks_times(basis.lam)),
+        descriptor_wks(basis, *default_wks_energies(basis.lam)),
+        descriptor_xyz(mesh),
     ]
-    stacked = concat_features(parts)
-    return FeatureMatrix(normalize_columns(stacked.values, mass),
-                         stacked.labels, mesh_id)
+    return normalize_columns(concat_features(parts), mass)
 
 
 def run_variant(name, F1, F2, basis1, basis2, mu, perm, mesh1, convert="adjoint"):
@@ -71,10 +68,9 @@ def main(argv=None):
     F1 = basis1.phi @ rng.standard_normal((args.k, 2 * args.k))
     run_variant("complete", F1, F1[perm], basis1, basis2, args.mu, perm, mesh1)
 
-    f1 = raw_stack(mesh1, basis1, lap1.mass, "src")
-    f2 = raw_stack(mesh2, basis2, lap2.mass, "dst")
-    run_variant("raw stack", f1.values, f2.values, basis1, basis2, args.mu,
-                perm, mesh1)
+    f1 = raw_stack(mesh1, basis1, lap1.mass)
+    f2 = raw_stack(mesh2, basis2, lap2.mass)
+    run_variant("raw stack", f1, f2, basis1, basis2, args.mu, perm, mesh1)
 
     # the contamination is mass-orthogonal to the basis span, so the adjoint
     # route shrugs it off; route the polluted stack through feature NN to

@@ -43,7 +43,6 @@ from .spectral import (
     smooth_features,
 )
 from .descriptors import (
-    FeatureMatrix,
     concat_features,
     default_hks_times,
     default_wks_energies,

@@ -39,7 +39,6 @@ from .descriptors import (
     descriptor_xyz,
     normalize_columns,
     project_coeffs,
-    FeatureMatrix,
 )
 from .diagnostics import build_structure_report, theorem_oracle
 from .errors import FmapError, InvalidK
@@ -92,17 +91,17 @@ def load_landmark_pairs(path):
     return pairs[:, 0].tolist(), pairs[:, 1].tolist()
 
 
-def _build_stack(mesh, basis_k, desc, landmarks, landmark_t, mesh_id):
+def _build_stack(mesh, basis_k, desc, landmarks, landmark_t):
     parts = []
     if desc in ("hks", "stack"):
-        parts.append(descriptor_hks(basis_k, default_hks_times(basis_k.lam), mesh_id))
+        parts.append(descriptor_hks(basis_k, default_hks_times(basis_k.lam)))
     if desc in ("wks", "stack"):
         energies, sigma = default_wks_energies(basis_k.lam)
-        parts.append(descriptor_wks(basis_k, energies, sigma, mesh_id))
+        parts.append(descriptor_wks(basis_k, energies, sigma))
     if desc in ("xyz", "stack"):
-        parts.append(descriptor_xyz(mesh, mesh_id))
+        parts.append(descriptor_xyz(mesh))
     if landmarks:
-        parts.append(descriptor_landmarks(basis_k, landmarks, landmark_t, mesh_id))
+        parts.append(descriptor_landmarks(basis_k, landmarks, landmark_t))
     return concat_features(parts)
 
 
@@ -140,32 +139,31 @@ def _basis(mesh, size: int) -> SpectralBasis:
         return basis
 
 
-def _prepare_side(mesh, mesh_id, cfg: _PairConfig, landmarks=(), landmark_t=None):
+def _prepare_side(mesh, cfg: _PairConfig, landmarks=(), landmark_t=None):
     """One shape's truncated basis and smoothed, mass-normalized descriptor stack."""
     j = _smoothing_size(cfg.smooth_j, mesh.n_vertices)
     basis = _basis(mesh, max(cfg.k, j))
     # truncate copies, so the full-size prefix is the cached basis itself
     basis_k = basis if cfg.k == basis.k else basis.truncate(cfg.k)
     basis_j = basis if j == basis.k else basis.truncate(j)
-    stack = _build_stack(mesh, basis_k, cfg.desc, landmarks, landmark_t, mesh_id)
-    smoothed = smooth_features(basis_j, stack.values, cfg.smooth_t)
-    normalized = normalize_columns(smoothed, basis.mass)
-    return basis_k, FeatureMatrix(normalized, stack.labels, mesh_id)
+    stack = _build_stack(mesh, basis_k, cfg.desc, landmarks, landmark_t)
+    smoothed = smooth_features(basis_j, stack, cfg.smooth_t)
+    return basis_k, normalize_columns(smoothed, basis.mass)
 
 
 def run_match(cfg: MatchConfig):
     """Full matching pipeline; returns (point_map, C, report)."""
     mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
     lm1, lm2 = load_landmark_pairs(cfg.landmarks) if cfg.landmarks else ([], [])
-    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg, lm1, cfg.landmark_t)
-    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg, lm2, cfg.landmark_t)
+    basis1, f1 = _prepare_side(mesh1, cfg, lm1, cfg.landmark_t)
+    basis2, f2 = _prepare_side(mesh2, cfg, lm2, cfg.landmark_t)
     C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
                    basis1.lam, basis2.lam, cfg.mu)
     if cfg.refine != "none":
         # adjoint mode ignores the descriptor stacks
         C, _ = refine_proper(C, basis1, basis2, iters=cfg.refine_iters,
                              mode=cfg.refine.removeprefix("proper-"),
-                             F1=f1.values, F2=f2.values, tau=cfg.tau)
+                             F1=f1, F2=f2, tau=cfg.tau)
     if cfg.convert == "adjoint":
         pm = convert_adjoint(C, basis1.phi, basis2.phi)
     else:
@@ -187,15 +185,12 @@ def run_eval(pred, gt, mesh, out):
 
 def run_diagnose(cfg: DiagnoseConfig):
     mesh1, mesh2 = load_mesh(cfg.src), load_mesh(cfg.dst)
-    basis1, f1 = _prepare_side(mesh1, cfg.src, cfg)
-    basis2, f2 = _prepare_side(mesh2, cfg.dst, cfg)
+    basis1, f1 = _prepare_side(mesh1, cfg)
+    basis2, f2 = _prepare_side(mesh2, cfg)
     if cfg.noise > 0:
         rng = np.random.default_rng(cfg.seed)
-        scale = float(f2.values.std()) or 1.0
-        f2 = FeatureMatrix(
-            f2.values + cfg.noise * scale * rng.standard_normal(f2.values.shape),
-            f2.labels, f2.mesh_id,
-        )
+        scale = float(f2.std()) or 1.0
+        f2 = f2 + cfg.noise * scale * rng.standard_normal(f2.shape)
     verdict = theorem_oracle(f1, f2, basis1, basis2, seed=cfg.seed)
     C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
                    basis1.lam, basis2.lam, cfg.mu)

@@ -1,84 +1,44 @@
 """Pointwise descriptors and their spectral coefficients.
 
-All descriptors return raw formula values; unit-M-norm column normalization
-(used to condition the map solve) is a separate, explicit step.
+All descriptors return raw formula values as plain float64 (n, d) arrays;
+unit-M-norm column normalization (used to condition the map solve) is a
+separate, explicit step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    AllEigenvaluesExcluded,
-    IndexOutOfRange,
-    LengthMismatch,
-    ZeroFeatures,
-)
+from .errors import AllEigenvaluesExcluded, IndexOutOfRange, LengthMismatch
 from .mesh import TriMesh
 from .spectral import SpectralBasis, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
 EIG_CUTOFF = 1e-8
+# columns of the default HKS time and WKS energy grids
+DEFAULT_COLUMNS = 16
 
 
-@dataclass
-class FeatureMatrix:
-    """Vertex-wise descriptor stack: values (n, d) plus column provenance.
-
-    labels has one entry per column saying where it came from.
-    """
-
-    values: np.ndarray
-    labels: tuple[str, ...] = ()
-    mesh_id: str | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise LengthMismatch(f"feature values must be (n, d), got {self.values.shape}")
-        if not self.labels:
-            self.labels = tuple(f"c{i}" for i in range(self.values.shape[1]))
-        if len(self.labels) != self.values.shape[1]:
-            raise LengthMismatch(
-                f"{len(self.labels)} labels for {self.values.shape[1]} columns"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-def concat_features(parts: list[FeatureMatrix]) -> FeatureMatrix:
-    """Column-concatenate feature matrices; associative, provenance-preserving."""
+def concat_features(parts: list[np.ndarray]) -> np.ndarray:
+    """Column-concatenate (n, d_i) descriptor arrays into one (n, sum d_i) array."""
     if not parts:
         raise LengthMismatch("nothing to concatenate")
-    n = parts[0].n
-    for p in parts[1:]:
-        if p.n != n:
-            raise LengthMismatch(f"row counts differ: {n} vs {p.n}")
-    ids = {p.mesh_id for p in parts if p.mesh_id is not None}
-    if len(ids) > 1:
-        raise ValueError(f"features from different meshes: {sorted(ids)}")
-    return FeatureMatrix(
-        np.hstack([p.values for p in parts]),
-        tuple(lbl for p in parts for lbl in p.labels),
-        ids.pop() if ids else None,
-    )
+    parts = [np.asarray(p, dtype=np.float64) for p in parts]
+    for p in parts:
+        if p.ndim != 2:
+            raise LengthMismatch(f"feature values must be (n, d), got {p.shape}")
+        if len(p) != len(parts[0]):
+            raise LengthMismatch(f"row counts differ: {len(parts[0])} vs {len(p)}")
+    return np.hstack(parts)
 
 
-def descriptor_xyz(mesh: TriMesh, mesh_id: str | None = None) -> FeatureMatrix:
-    """Raw vertex coordinates as a 3-column descriptor."""
-    return FeatureMatrix(mesh.vertices.copy(), ("x", "y", "z"), mesh_id)
+def descriptor_xyz(mesh: TriMesh) -> np.ndarray:
+    """Raw vertex coordinates as a 3-column descriptor (a copy)."""
+    return mesh.vertices.copy()
 
 
-def default_hks_times(lam: np.ndarray, count: int = 16) -> np.ndarray:
-    """Log-spaced diffusion times in [4 ln 10 / lam_k, 4 ln 10 / lam_2]."""
+def default_hks_times(lam: np.ndarray) -> np.ndarray:
+    """DEFAULT_COLUMNS log-spaced times in [4 ln 10 / lam_k, 4 ln 10 / lam_2]."""
     lam = np.asarray(lam, dtype=np.float64).ravel()
     if lam.size < 2 or lam[1] <= 0 or lam[-1] <= 0:
         raise AllEigenvaluesExcluded(
@@ -86,10 +46,10 @@ def default_hks_times(lam: np.ndarray, count: int = 16) -> np.ndarray:
         )
     t_min = 4.0 * np.log(10.0) / lam[-1]
     t_max = 4.0 * np.log(10.0) / lam[1]
-    return np.geomspace(t_min, t_max, count)
+    return np.geomspace(t_min, t_max, DEFAULT_COLUMNS)
 
 
-def descriptor_hks(basis: SpectralBasis, times, mesh_id: str | None = None) -> FeatureMatrix:
+def descriptor_hks(basis: SpectralBasis, times) -> np.ndarray:
     """Heat kernel signature: hks(x, t) = sum_i exp(-lam_i t) phi_i(x)^2.
 
     Every eigenpair participates, including the constant mode, so entries are
@@ -99,12 +59,11 @@ def descriptor_hks(basis: SpectralBasis, times, mesh_id: str | None = None) -> F
     if times.size == 0 or np.any(times < 0):
         raise ValueError("times must be non-empty and non-negative")
     decay = np.exp(-np.outer(times, basis.lam))        # (T, k)
-    vals = np.einsum("nk,tk->nt", basis.phi ** 2, decay)
-    return FeatureMatrix(vals, tuple(f"hks_t{t:.6g}" for t in times), mesh_id)
+    return np.einsum("nk,tk->nt", basis.phi ** 2, decay)
 
 
-def default_wks_energies(lam: np.ndarray, count: int = 16):
-    """Evenly spaced log-energy grid with the usual 7-sigma interior inset.
+def default_wks_energies(lam: np.ndarray):
+    """DEFAULT_COLUMNS evenly spaced log energies with the usual 7-sigma interior inset.
 
     Returns (energies, sigma). Near-zero eigenvalues are excluded the same
     way descriptor_wks excludes them.
@@ -115,12 +74,11 @@ def default_wks_energies(lam: np.ndarray, count: int = 16):
     if kept.size < 2:
         raise AllEigenvaluesExcluded("not enough positive eigenvalues for a WKS grid")
     e_min, e_max = np.log(kept[0]), np.log(kept[-1])
-    sigma = 7.0 * (e_max - e_min) / count
-    return np.linspace(e_min + 2.0 * sigma, e_max - 2.0 * sigma, count), sigma
+    sigma = 7.0 * (e_max - e_min) / DEFAULT_COLUMNS
+    return np.linspace(e_min + 2.0 * sigma, e_max - 2.0 * sigma, DEFAULT_COLUMNS), sigma
 
 
-def descriptor_wks(basis: SpectralBasis, energies, sigma: float,
-                   mesh_id: str | None = None) -> FeatureMatrix:
+def descriptor_wks(basis: SpectralBasis, energies, sigma: float) -> np.ndarray:
     """Wave kernel signature with Gaussian log-energy bands.
 
     wks(x, e) = C_e sum_i exp(-(e - log lam_i)^2 / (2 sigma^2)) phi_i(x)^2,
@@ -147,12 +105,10 @@ def descriptor_wks(basis: SpectralBasis, energies, sigma: float,
         bad = energies[totals <= 0]
         raise ValueError(f"energies with no spectral support: {bad}")
     w /= totals[:, None]
-    vals = np.einsum("nk,ek->ne", basis.phi[:, keep] ** 2, w)
-    return FeatureMatrix(vals, tuple(f"wks_e{e:.6g}" for e in energies), mesh_id)
+    return np.einsum("nk,ek->ne", basis.phi[:, keep] ** 2, w)
 
 
-def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float,
-                         mesh_id: str | None = None) -> FeatureMatrix:
+def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float) -> np.ndarray:
     """Diffused landmark indicators, one column per landmark.
 
     Column l is diffuse(delta_l / M[l], t): the unit-mass spike at the
@@ -165,17 +121,16 @@ def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float,
         if not 0 <= l < n:
             raise IndexOutOfRange(f"landmark {l} outside [0, {n})")
     if not landmarks:
-        return FeatureMatrix(np.zeros((n, 0)), (), mesh_id)
+        return np.zeros((n, 0))
     spikes = np.zeros((n, len(landmarks)))
     for col, l in enumerate(landmarks):
         spikes[l, col] = 1.0 / basis.mass[l]
-    vals = diffuse(basis, spikes, t)
-    return FeatureMatrix(vals, tuple(f"lm_v{l}" for l in landmarks), mesh_id)
+    return diffuse(basis, spikes, t)
 
 
 def project_coeffs(basis: SpectralBasis, features) -> np.ndarray:
     """Spectral coefficients A = Phi^T M F, shape (k, d)."""
-    values = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
+    values = np.asarray(features)
     if values.ndim != 2:
         raise LengthMismatch(f"expected (n, d) features, got shape {values.shape}")
     if values.shape[0] != basis.n:
@@ -183,18 +138,12 @@ def project_coeffs(basis: SpectralBasis, features) -> np.ndarray:
     return basis.project(values)
 
 
-def normalize_columns(values: np.ndarray, mass: np.ndarray,
-                      skip_zero: bool = True) -> np.ndarray:
+def normalize_columns(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Scale each column to unit M-norm; conditions the map least squares.
 
-    Zero columns are left untouched when skip_zero is set (they carry no
-    information either way); otherwise they raise ZeroFeatures.
+    Zero columns are left untouched: they carry no information either way.
     """
     values = np.asarray(values, dtype=np.float64)
     norms = np.sqrt(np.einsum("n,nd->d", mass, values ** 2))
-    zero = norms == 0
-    if np.any(zero) and not skip_zero:
-        raise ZeroFeatures(f"column(s) {np.nonzero(zero)[0].tolist()} have zero M-norm")
-    safe = np.where(zero, 1.0, norms)
-    return values / safe
+    return values / np.where(norms == 0, 1.0, norms)
 

@@ -8,10 +8,9 @@ import numpy as np
 
 from .errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
 from .fmap import PointMap
+from . import mesh as _mesh
 from .mesh import TriMesh, _fmt, graph_geodesics
 
-_GEODESIC_BLOCK_BYTES = 64 << 20  # bytes of Dijkstra rows geodesic_error holds at once
-_GROUP_ROWS = 32       # missed ground-truth vertices searched together under one limit
 _LANDMARKS = 8         # farthest-point landmarks whose rows bound each miss's distance
 _BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
 
@@ -43,15 +42,16 @@ def _landmark_bounds(mesh: TriMesh, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return bound * (1.0 + _BOUND_SLACK)
 
 
-def _search(mesh: TriMesh, p: np.ndarray, g: np.ndarray, reach: np.ndarray,
-            step: int) -> np.ndarray:
+def _search(mesh: TriMesh, p: np.ndarray, g: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """d(g_i, p_i) for every i, searched from the unique g.
 
     Sources are ordered by the largest `reach` among their entries and
-    searched `step` at a time, each group with its largest reach as limit.
+    searched mesh._GEODESIC_BLOCK_ROWS at a time, each group with its
+    largest reach as limit.
     An entry the limit cut off (its distance exceeds its finite reach) is
     searched again with no limit.
     """
+    step = _mesh._GEODESIC_BLOCK_ROWS
     uniq, inverse = np.unique(g, return_inverse=True)
     far = np.full(uniq.size, -np.inf)
     np.maximum.at(far, inverse, reach)
@@ -66,7 +66,7 @@ def _search(mesh: TriMesh, p: np.ndarray, g: np.ndarray, reach: np.ndarray,
         del rows
     cut = np.nonzero(np.isinf(d) & np.isfinite(reach))[0]
     if cut.size:
-        d[cut] = _search(mesh, p[cut], g[cut], np.full(cut.size, np.inf), step)
+        d[cut] = _search(mesh, p[cut], g[cut], np.full(cut.size, np.inf))
     return d
 
 
@@ -77,10 +77,10 @@ def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
     entry is the graph-geodesic distance between prediction and ground
     truth, divided by the square root of the total surface area, times 100.
     Exact hits score 0.0 and Dijkstra runs only from the misses' unique
-    ground truth, at most _GROUP_ROWS sources (and _GEODESIC_BLOCK_BYTES of
-    rows) per call: memory O(group * n), not O(n^2).
+    ground truth, at most mesh._GEODESIC_BLOCK_ROWS sources per call:
+    memory O(group * n), not O(n^2).
 
-    With more than _GROUP_ROWS such sources, each miss's distance is first
+    With more than that many such sources, each miss's distance is first
     bounded through _LANDMARKS landmark searches (_landmark_bounds), and
     each group of sources, ordered by bound, searches only up to its
     largest bound. A distance within the limit is the same float as with
@@ -98,12 +98,11 @@ def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
             raise IndexOutOfRange(f"{name} indexes outside [0, {n})")
     area = mesh_target.total_area()  # first, so its temporaries never meet the rows
     miss = np.nonzero(p != g)[0]
-    step = min(_GROUP_ROWS, max(1, _GEODESIC_BLOCK_BYTES // (8 * max(n, 1))))
     reach = np.full(miss.size, np.inf)
-    if np.unique(g[miss]).size > _GROUP_ROWS:
+    if np.unique(g[miss]).size > _mesh._GEODESIC_BLOCK_ROWS:
         reach = _landmark_bounds(mesh_target, g[miss], p[miss])
     d = np.zeros(p.size)
-    d[miss] = _search(mesh_target, p[miss], g[miss], reach, step)
+    d[miss] = _search(mesh_target, p[miss], g[miss], reach)
     if np.any(np.isinf(d)):
         bad = int(np.nonzero(np.isinf(d))[0][0])
         raise DisconnectedMesh(

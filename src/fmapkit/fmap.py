@@ -104,8 +104,7 @@ class PointMap:
 
 
 def _feature_values(f) -> np.ndarray:
-    values = getattr(f, "values", f)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(f, dtype=np.float64)
     if values.ndim != 2:
         raise LengthMismatch(f"expected (n, d) array, got shape {values.shape}")
     return values

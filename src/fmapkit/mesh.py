@@ -43,9 +43,9 @@ class TriMesh:
     Parameters
     ----------
     vertices : array_like of shape (n, 3)
-        Vertex positions, converted to float64.
+        Vertex positions, copied to float64.
     triangles : array_like of shape (m, 3)
-        Vertex indices per triangle, converted to int64.
+        Vertex indices per triangle, copied to int64.
 
     Raises
     ------
@@ -58,14 +58,15 @@ class TriMesh:
 
     Notes
     -----
-    edge_graph() is memoised on the instance and rebuilt when `vertices` or
-    `triangles` is reassigned; the arrays must not be written in place (the
-    memo would serve the graph of the old geometry).
+    The mesh holds read-only copies of its arrays, so neither a write to the
+    caller's arrays nor one through `mesh.vertices` can change the geometry
+    under the edge_graph() memo. The memo is rebuilt when `vertices` or
+    `triangles` is reassigned.
     """
 
     def __init__(self, vertices, triangles):
-        v = np.asarray(vertices, dtype=np.float64)
-        t = np.asarray(triangles, dtype=np.int64)
+        v = np.array(vertices, dtype=np.float64)
+        t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise DegenerateMesh(f"vertices must be (n, 3), got {v.shape}")
         if not np.isfinite(v).all():
@@ -79,6 +80,7 @@ class TriMesh:
             )
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 0] == t[:, 2]):
             raise DegenerateMesh("triangle with repeated vertex index")
+        v.flags.writeable = t.flags.writeable = False
         self.vertices = v
         self.triangles = t
         self._graph = (None, None, None, ())  # (vertices, triangles, graph, its arrays)

@@ -323,7 +323,7 @@ class TestSideCache:
         solves = spy(monkeypatch, cli, "eigenbasis")
         mesh = load_mesh(small_pair.src)   # 162 vertices; the basis size is max(k, j)
         cfg = MatchConfig(src="a", dst="b", out="c")
-        args = {"mesh_id": "a", "landmarks": [0, 1, 2], "landmark_t": 0.1}
+        args = {"landmarks": [0, 1, 2], "landmark_t": 0.1}
 
         def solved(cfg, **changed):
             """Eigensolves so far, after preparing the side."""
@@ -332,7 +332,7 @@ class TestSideCache:
 
         assert solved(cfg) == 1
         # nothing but the size shapes the basis, and a k at or below j is inside it
-        for changed in [{"mesh_id": "b"}, {"landmarks": [0, 1, 3]}, {"landmark_t": 0.2}]:
+        for changed in [{"landmarks": [0, 1, 3]}, {"landmark_t": 0.2}]:
             assert solved(cfg, **changed) == 1
         for name, value in [("k", 20), ("k", 128), ("smooth_t", 0.5), ("desc", "stack"),
                             ("src", "x"), ("dst", "y"), ("out", "z"), ("mu", 0.5),
@@ -373,9 +373,9 @@ class TestSideCache:
     def test_only_a_smaller_prefix_is_copied(self, small_pair):
         mesh = load_mesh(small_pair.src)
         cfg = DiagnoseConfig(src="a", dst="b", k=40, smooth_j=40)
-        basis, _ = cli._prepare_side(mesh, "a", cfg)
+        basis, _ = cli._prepare_side(mesh, cfg)
         assert basis is cli._basis(mesh, 40)
-        basis, _ = cli._prepare_side(mesh, "a", replace(cfg, k=30))
+        basis, _ = cli._prepare_side(mesh, replace(cfg, k=30))
         assert basis.k == 30 and not np.shares_memory(basis.phi, cli._basis(mesh, 40).phi)
 
     def test_size_is_bounded_and_eviction_comes_before_the_solve(self, small_pair,
@@ -383,7 +383,7 @@ class TestSideCache:
         solves = spy(monkeypatch, cli, "eigenbasis")
         mesh = load_mesh(small_pair.src)
         for j in (40, 50, 40, 60, 40, 70):
-            cli._prepare_side(mesh, "a", DiagnoseConfig(src="a", dst="b", smooth_j=j))
+            cli._prepare_side(mesh, DiagnoseConfig(src="a", dst="b", smooth_j=j))
             assert len(cli._bases) <= cli.BASIS_CACHE_SIZE
         # least recently used goes first, so j = 40 is never evicted
         assert len(solves) == 4

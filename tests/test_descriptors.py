@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from fmapkit.descriptors import (
-    FeatureMatrix,
     concat_features,
     default_hks_times,
     default_wks_energies,
@@ -22,12 +21,7 @@ from fmapkit.descriptors import (
     normalize_columns,
     project_coeffs,
 )
-from fmapkit.errors import (
-    AllEigenvaluesExcluded,
-    IndexOutOfRange,
-    LengthMismatch,
-    ZeroFeatures,
-)
+from fmapkit.errors import AllEigenvaluesExcluded, IndexOutOfRange, LengthMismatch
 from fmapkit.spectral import SpectralBasis, build_laplacian, eigenbasis
 
 
@@ -38,36 +32,22 @@ def basis162(ico162):
 
 
 class TestFeatureMatrix:
-    def test_auto_labels(self):
-        fm = FeatureMatrix(np.zeros((4, 3)))
-        assert fm.labels == ("c0", "c1", "c2")
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            FeatureMatrix(np.zeros((4, 3)), ("a", "b"))
+    """A feature matrix is a plain float64 (n, d) array; concat_features checks it."""
 
     def test_rejects_1d(self):
         with pytest.raises(LengthMismatch):
-            FeatureMatrix(np.zeros(4))
+            concat_features([np.zeros((4, 1)), np.zeros(4)])
 
     def test_concat(self):
-        a = FeatureMatrix(np.ones((4, 2)), ("a0", "a1"), "m")
-        b = FeatureMatrix(np.zeros((4, 1)), ("b0",), "m")
+        a = np.arange(8.0).reshape(4, 2)
+        b = np.full((4, 1), -1.0)
         cat = concat_features([a, b])
-        assert cat.values.shape == (4, 3)
-        assert cat.labels == ("a0", "a1", "b0")
-        assert cat.mesh_id == "m"
-
-    def test_concat_rejects_mixed_meshes(self):
-        a = FeatureMatrix(np.ones((4, 1)), mesh_id="m1")
-        b = FeatureMatrix(np.ones((4, 1)), mesh_id="m2")
-        with pytest.raises(ValueError):
-            concat_features([a, b])
+        assert cat.dtype == np.float64
+        assert np.array_equal(cat, [[0, 1, -1], [2, 3, -1], [4, 5, -1], [6, 7, -1]])
 
     def test_concat_rejects_row_mismatch(self):
         with pytest.raises(LengthMismatch):
-            concat_features([FeatureMatrix(np.ones((4, 1))),
-                             FeatureMatrix(np.ones((5, 1)))])
+            concat_features([np.ones((4, 1)), np.ones((5, 1))])
 
     def test_concat_rejects_empty(self):
         with pytest.raises(LengthMismatch):
@@ -80,25 +60,25 @@ class TestHKS:
         times = default_hks_times(basis.lam)
         impl = descriptor_hks(basis, times)
         ref = orc.hks_ref(basis.lam, basis.phi, times)
-        assert impl.values == pytest.approx(ref, rel=1e-12)
+        assert impl == pytest.approx(ref, rel=1e-12)
 
     def test_constant_mode_only_gives_inverse_area(self, basis162, ico162):
         _, basis = basis162
         one = basis.truncate(1)
-        vals = descriptor_hks(one, [0.5, 2.0]).values
+        vals = descriptor_hks(one, [0.5, 2.0])
         assert vals == pytest.approx(
             np.full((162, 2), 1.0 / ico162.total_area()), rel=1e-10
         )
 
     def test_positive_on_connected_mesh(self, basis162):
         _, basis = basis162
-        vals = descriptor_hks(basis, default_hks_times(basis.lam)).values
+        vals = descriptor_hks(basis, default_hks_times(basis.lam))
         assert np.all(vals > 0)
 
     def test_columns_decrease_with_time(self, basis162):
         # larger t damps the non-constant modes toward 1/area everywhere
         _, basis = basis162
-        vals = descriptor_hks(basis, [0.01, 1e6]).values
+        vals = descriptor_hks(basis, [0.01, 1e6])
         assert vals[:, 1].std() < vals[:, 0].std()
 
     def test_default_times_geometric(self, basis162):
@@ -121,11 +101,6 @@ class TestHKS:
         with pytest.raises(ValueError):
             descriptor_hks(basis, [-1.0])
 
-    def test_labels(self, basis162):
-        _, basis = basis162
-        fm = descriptor_hks(basis, [0.25])
-        assert fm.labels == ("hks_t0.25",)
-
 
 class TestWKS:
     def test_matches_term_sum(self, basis162):
@@ -133,7 +108,7 @@ class TestWKS:
         energies, sigma = default_wks_energies(basis.lam)
         impl = descriptor_wks(basis, energies, sigma)
         ref = orc.wks_ref(basis.lam, basis.phi, energies, sigma)
-        assert impl.values == pytest.approx(ref, rel=1e-12)
+        assert impl == pytest.approx(ref, rel=1e-12)
 
     def test_all_excluded_raises(self):
         basis = SpectralBasis(np.zeros(3), np.zeros((5, 3)), np.ones(5))
@@ -163,24 +138,22 @@ class TestWKS:
 
 class TestXYZAndLandmarks:
     def test_xyz_is_coordinates(self, ico162):
-        fm = descriptor_xyz(ico162, "m")
-        assert np.array_equal(fm.values, ico162.vertices)
-        assert fm.labels == ("x", "y", "z")
+        fm = descriptor_xyz(ico162)
+        assert np.array_equal(fm, ico162.vertices)
 
     def test_xyz_copies(self, ico162):
         fm = descriptor_xyz(ico162)
-        fm.values[0, 0] = 99.0
+        fm[0, 0] = 99.0
         assert ico162.vertices[0, 0] != 99.0
 
     def test_landmark_peak_at_landmark(self, pair):
-        fm = descriptor_landmarks(pair.basis1, [5, 100, 400], 0.1, "m")
-        assert fm.values.shape == (642, 3)
-        assert list(fm.values.argmax(axis=0)) == [5, 100, 400]
-        assert fm.labels == ("lm_v5", "lm_v100", "lm_v400")
+        fm = descriptor_landmarks(pair.basis1, [5, 100, 400], 0.1)
+        assert fm.shape == (642, 3)
+        assert list(fm.argmax(axis=0)) == [5, 100, 400]
 
     def test_empty_landmarks(self, pair):
         fm = descriptor_landmarks(pair.basis1, [], 0.1)
-        assert fm.values.shape == (642, 0)
+        assert fm.shape == (642, 0)
 
     def test_landmark_out_of_range(self, pair):
         with pytest.raises(IndexOutOfRange):
@@ -202,11 +175,6 @@ class TestNormalizeAndProject:
         out = normalize_columns(F, lap.mass)
         assert np.all(out[:, 0] == 0.0)
 
-    def test_zero_column_raises_when_asked(self, basis162):
-        lap, _ = basis162
-        with pytest.raises(ZeroFeatures):
-            normalize_columns(np.zeros((162, 1)), lap.mass, skip_zero=False)
-
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_normalize_idempotent(self, basis162, seed):
@@ -219,8 +187,7 @@ class TestNormalizeAndProject:
     def test_project_coeffs_matches_basis(self, basis162):
         lap, basis = basis162
         F = np.random.default_rng(1).standard_normal((162, 4))
-        fm = FeatureMatrix(F)
-        assert np.array_equal(project_coeffs(basis, fm), basis.project(F))
+        assert np.array_equal(project_coeffs(basis, F), basis.project(F))
 
     def test_project_coeffs_validation(self, basis162):
         _, basis = basis162

@@ -157,9 +157,9 @@ class TestRankAndDistinctness:
     @pytest.mark.parametrize("desc", ["xyz", "stack"])
     def test_nn_distinctness_is_exact_on_symmetric_ties(self, level, desc):
         # icosphere rows have many nearest neighbours at exactly equal distances
-        _, features = cli._prepare_side(synth.icosphere(level), "ico",
+        _, features = cli._prepare_side(synth.icosphere(level),
                                         DiagnoseConfig(src="a", dst="b", desc=desc))
-        assert_equals_full_distance_table(features.values)
+        assert_equals_full_distance_table(features)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nn_distinctness_of_a_non_finite_stack_is_nan(self, bad):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fmapkit import evaluate, synth
+from fmapkit import evaluate, mesh as mesh_module, synth
 from fmapkit.cli import main
 from fmapkit.errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
 from fmapkit.evaluate import accuracy_curve, geodesic_error, write_error_report
@@ -60,11 +60,6 @@ def two_spheres(mesh):
     n = mesh.n_vertices
     return TriMesh(np.vstack([mesh.vertices, mesh.vertices + 10.0]),
                    np.vstack([mesh.triangles, mesh.triangles + n]))
-
-
-def block_bytes(rows, n):
-    """A _GEODESIC_BLOCK_BYTES that gives `rows` Dijkstra rows per block."""
-    return rows * 8 * n
 
 
 def eval_peak(pair):
@@ -169,7 +164,7 @@ class TestBlockedGeodesics:
         reference = dense_errors(pred, gt, mesh)
         with pytest.MonkeyPatch.context() as mp:
             if rows is not None:
-                mp.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(rows, n))
+                mp.setattr(mesh_module, "_GEODESIC_BLOCK_ROWS", rows)
             if np.isinf(reference).any():
                 with pytest.raises(DisconnectedMesh) as info:
                     geodesic_error(pred, gt, mesh)
@@ -187,11 +182,11 @@ class TestBlockedGeodesics:
                                                         monkeypatch, rows):
         n = pair.mesh1.n_vertices
         if rows is not None:
-            monkeypatch.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(rows, n))
+            monkeypatch.setattr(mesh_module, "_GEODESIC_BLOCK_ROWS", rows)
         pred = wrong_map(pair.perm, n, seed=21)
         geodesic_error(pred, pair.perm, pair.mesh1)
         expected = np.unique(pair.perm[pred != pair.perm])
-        assert expected.size > evaluate._GROUP_ROWS
+        assert expected.size > mesh_module._GEODESIC_BLOCK_ROWS
         # the landmark searches: the leading one-source unbounded calls
         k = next(i for i, (sources, limit) in enumerate(geodesic_calls)
                  if sources.size > 1 or np.isfinite(limit))
@@ -200,17 +195,17 @@ class TestBlockedGeodesics:
         assert landmarks[0][0][0] == pair.perm[pred != pair.perm][0]
         searched = np.concatenate([sources for sources, _ in groups])
         assert np.array_equal(np.sort(searched), expected)  # each one exactly once
-        assert all(len(sources) <= min(rows or n, evaluate._GROUP_ROWS)
-                   for sources, _ in groups)
+        assert all(len(sources) <= mesh_module._GEODESIC_BLOCK_ROWS for sources, _ in groups)
         assert all(np.isfinite(limit) for _, limit in groups)  # no re-search here
 
     def test_few_sources_run_one_unbounded_pass(self, pair, geodesic_calls):
         n = pair.mesh1.n_vertices
         pred = pair.perm.copy()
-        pred[:evaluate._GROUP_ROWS] = pred[n - evaluate._GROUP_ROWS:]
+        rows = mesh_module._GEODESIC_BLOCK_ROWS
+        pred[:rows] = pred[n - rows:]
         geodesic_error(pred, pair.perm, pair.mesh1)
         [(sources, limit)] = geodesic_calls
-        assert np.array_equal(sources, np.unique(pair.perm[:evaluate._GROUP_ROWS]))
+        assert np.array_equal(sources, np.unique(pair.perm[:rows]))
         assert np.isinf(limit)
 
     @pytest.mark.parametrize("near", [False, True])
@@ -231,11 +226,12 @@ class TestBlockedGeodesics:
     def test_peak_memory_is_a_block_not_a_table(self, pair):
         n = pair.mesh1.n_vertices
         # 50.4 * n * 8 bytes measured (the total-area temporaries dominate)
-        assert eval_peak(pair) < 1.5 * (evaluate._GROUP_ROWS + evaluate._LANDMARKS) * n * 8
+        rows = mesh_module._GEODESIC_BLOCK_ROWS
+        assert eval_peak(pair) < 1.5 * (rows + evaluate._LANDMARKS) * n * 8
 
     def test_peak_memory_under_a_block_byte_cap(self, pair, monkeypatch):
         n = pair.mesh1.n_vertices
-        monkeypatch.setattr(evaluate, "_GEODESIC_BLOCK_BYTES", block_bytes(8, n))
+        monkeypatch.setattr(mesh_module, "_GEODESIC_BLOCK_ROWS", 8)  # groups of 8 sources
         assert eval_peak(pair) < 0.1 * n * n * 8
 
 

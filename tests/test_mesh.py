@@ -179,6 +179,21 @@ class TestEdges:
         assert mesh.edge_graph() is not g
         assert np.array_equal(graph_geodesics(mesh, [0, 9]), before)
 
+    def test_geometry_cannot_change_under_the_memo(self, bumpy642):
+        v, t = bumpy642.vertices.copy(), bumpy642.triangles.copy()
+        mesh = TriMesh(v, t)
+        before = graph_geodesics(mesh, [0, 9])
+        for arr in (mesh.vertices, mesh.triangles):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+        v *= 2  # the caller's arrays are not the mesh's
+        t[:] = t[:, ::-1]
+        assert np.array_equal(mesh.vertices, bumpy642.vertices)
+        assert np.array_equal(mesh.triangles, bumpy642.triangles)
+        assert np.array_equal(graph_geodesics(mesh, [0, 9]), before)
+        assert np.array_equal(graph_geodesics(TriMesh(mesh.vertices, mesh.triangles), [0, 9]),
+                              before)
+
 
 class TestGeodesics:
     def test_strip_distances_pin(self, strip):

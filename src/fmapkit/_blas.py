@@ -2,8 +2,8 @@
 
 OpenBLAS splits a product or a factorization differently with 1 and with 2
 threads, so the same call can round differently in its last bit depending
-on the caller's thread count (dense `eigh`, `Phi^T M F`, `Pi Phi1` and the
-soft-map similarities all do). fmapkit therefore runs all its BLAS and
+on the caller's thread count (the dense eigensolve, `Phi^T M F`, `Pi Phi1`
+and the soft-map similarities all do). fmapkit therefore runs all its BLAS and
 LAPACK work with one thread: every public function that reaches them is
 wrapped in `single_threaded`, which sets every OpenBLAS library loaded in
 the process to one thread on entry and restores the caller's counts on
@@ -33,8 +33,8 @@ does nothing and results are reproducible only at a fixed thread count.
 BLAS and LAPACK call sites in fmapkit, each reached only through the
 wrapped entry point named first:
 
-* spectral.eigenbasis: `np.linalg.eigh` (dense branch); `eigsh` with its
-  sparse LU (sparse branch)
+* spectral.eigenbasis: scipy's LAPACK `dsyevd`, in place (dense branch);
+  `eigsh` with its sparse LU (sparse branch)
 * spectral.SpectralBasis.project: `phi.T @ (m * f)`
 * spectral.SpectralBasis.reconstruct: `phi @ a`
 * fmap.PointMap.apply: `matrix @ values` (soft maps), per row block

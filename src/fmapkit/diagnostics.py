@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._blas import single_threaded
 from .errors import LengthMismatch, ZeroFeatures
@@ -116,6 +115,7 @@ def _nearest_other(values: np.ndarray) -> np.ndarray:
     (relative) of that proposal takes the exact minimum over every row
     within that radius.
     """
+    from scipy.spatial import cKDTree   # here, so `eval` never loads scipy.spatial
     n, d = values.shape
     if not d:
         return np.zeros(n)   # rows with no columns coincide

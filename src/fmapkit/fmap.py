@@ -16,7 +16,6 @@ import queue
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _blas
 from ._blas import single_threaded
@@ -169,6 +168,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     index. Runs on the row blocks of `_blas.row_blocks`, so it holds one
     (ROW_BLOCK, len(points)) distance block per worker.
     """
+    from scipy.spatial.distance import cdist   # here, so `eval` never loads scipy.spatial
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     if queries.shape[1] != points.shape[1]:

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import DegenerateMesh, IndexOutOfRange, ParseError
 
@@ -58,10 +57,10 @@ class TriMesh:
 
     Notes
     -----
-    The mesh holds read-only copies of its arrays, so neither a write to the
-    caller's arrays nor one through `mesh.vertices` can change the geometry
-    under the edge_graph() memo. The memo is rebuilt when `vertices` or
-    `triangles` is reassigned.
+    A mesh is immutable. It holds read-only copies of its arrays, and
+    `vertices` and `triangles` cannot be reassigned (AttributeError), so
+    nothing can change the geometry under the edge_graph() memo. Build a
+    new TriMesh for new geometry.
     """
 
     def __init__(self, vertices, triangles):
@@ -81,9 +80,8 @@ class TriMesh:
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 0] == t[:, 2]):
             raise DegenerateMesh("triangle with repeated vertex index")
         v.flags.writeable = t.flags.writeable = False
-        self.vertices = v
-        self.triangles = t
-        self._graph = (None, None, None, ())  # (vertices, triangles, graph, its arrays)
+        self._vertices, self._triangles = v, t
+        self._graph = (None, ())  # (edge graph, its arrays when built)
 
         areas = self.triangle_areas()
         bbox_diag_sq = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2)) if len(v) else 0.0
@@ -101,6 +99,14 @@ class TriMesh:
                 f"vertex {int(np.nonzero(~used)[0][0])} is referenced by no "
                 "triangle (lumped mass would vanish)"
             )
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self._vertices
+
+    @property
+    def triangles(self) -> np.ndarray:
+        return self._triangles
 
     @property
     def n_vertices(self) -> int:
@@ -142,16 +148,13 @@ class TriMesh:
     def edge_graph(self) -> sparse.csr_matrix:
         """Symmetric sparse adjacency with Euclidean edge lengths as weights.
 
-        Built once per (vertices, triangles) pair of arrays: reassigning
-        either attribute builds a new graph on the next call. The returned
-        matrix is shared by every caller, graph_geodesics included, and must
-        not be modified: its data, indices and indptr are read-only, and a
-        change that replaces them (setdiag of a new entry, say) makes the
-        next call build a fresh graph.
+        Built once per mesh. The returned matrix is shared by every caller,
+        graph_geodesics included, and must not be modified: its data,
+        indices and indptr are read-only, and a change that replaces them
+        (setdiag of a new entry, say) makes the next call build a fresh graph.
         """
-        v, t, g, parts = self._graph
-        if (v is self.vertices and t is self.triangles
-                and all(a is b for a, b in zip(parts, (g.data, g.indices, g.indptr)))):
+        g, parts = self._graph
+        if g is not None and all(a is b for a, b in zip(parts, (g.data, g.indices, g.indptr))):
             return g
         e = self.edges()
         w = np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
@@ -164,7 +167,7 @@ class TriMesh:
         parts = (g.data, g.indices, g.indptr)
         for a in parts:
             a.flags.writeable = False
-        self._graph = (self.vertices, self.triangles, g, parts)
+        self._graph = (g, parts)
         return g
 
 
@@ -204,6 +207,7 @@ def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
         raise IndexOutOfRange("geodesic source index out of range")
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
+    from scipy.sparse.csgraph import dijkstra   # here, so only a search loads csgraph
     graph = mesh.edge_graph()
     if sources.size <= _GEODESIC_BLOCK_ROWS:
         return dijkstra(graph, directed=True, indices=sources, limit=limit)

@@ -2,7 +2,10 @@
 
 import argparse
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 import threading
 from dataclasses import MISSING, fields, replace
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import fmapkit
 from fmapkit import cli, diagnostics, spectral, synth
 from fmapkit.cli import (
     DiagnoseConfig,
@@ -231,6 +235,19 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("fmapkit: sparse eigensolver failed")
+        assert "Traceback" not in err
+
+    def test_dense_solver_failure_is_data_error(self, small_pair, tmp_path, capsys,
+                                                monkeypatch):
+        # 162 vertices take the dense eigensolver branch
+        def no_convergence(a, **kwargs):
+            return np.zeros(a.shape[0]), a, 7   # info > 0: LAPACK did not converge
+
+        monkeypatch.setattr(spectral, "dsyevd", no_convergence)
+        rc = main(match_args(small_pair, tmp_path / "map.txt"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fmapkit: dense eigensolver failed")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -483,6 +500,50 @@ class TestBenchTrace:
         n1 = load_mesh(small_pair.src).n_vertices
         n2 = load_mesh(small_pair.dst).n_vertices
         assert tracer.peaks["fmap.softmap_bytes"] == n2 * n1 * 8
+
+
+IMPORTS_SCRIPT = """
+import json
+import sys
+
+import fmapkit.cli as cli
+
+def loaded():
+    return [name for name in ("scipy.spatial", "scipy.sparse.csgraph") if name in sys.modules]
+
+src, dst, pred, gt, out = sys.argv[1:]
+seen = [loaded()]
+assert cli.main(["eval", "--pred", pred, "--gt", gt, "--mesh", src, "--out", out + ".csv"]) == 0
+seen.append(loaded())
+import scipy.spatial.distance as distance
+cdist, calls = distance.cdist, []
+distance.cdist = lambda *args, **kwargs: calls.append(1) or cdist(*args, **kwargs)
+assert cli.main(["match", "--src", src, "--dst", dst, "--out", out]) == 0
+seen.append(len(calls) > 0)
+print(json.dumps(seen))
+"""
+
+
+class TestImports:
+    """Each command imports only the scipy modules it calls."""
+
+    def test_each_command_loads_what_it_calls(self, small_pair, tmp_path):
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        save_correspondence(small_pair.perm, gt)
+        save_correspondence(np.roll(small_pair.perm, 1), pred)   # every entry wrong
+        src = str(Path(fmapkit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORTS_SCRIPT, str(small_pair.src), str(small_pair.dst),
+             str(pred), str(gt), str(tmp_path / "map.txt")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        on_import, after_eval, match_used_cdist = json.loads(proc.stdout.splitlines()[-1])
+        assert on_import == []
+        assert after_eval == ["scipy.sparse.csgraph"]
+        assert match_used_cdist
 
 
 class TestLandmarkParsing:

@@ -8,6 +8,8 @@ edge weight 0 on a square split along its diagonal, -1 on a kite whose
 opposite angles are 45 degrees).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -16,6 +18,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import oracles as orc
 from fmapkit import spectral, synth
+from fmapkit._blas import single_threaded
 from fmapkit.errors import InvalidK, SolverFailure
 from fmapkit.mesh import TriMesh
 from fmapkit.spectral import (
@@ -177,6 +180,55 @@ class TestEigenbasis:
         rng = np.random.default_rng(0)
         F = rng.standard_normal((162, 5))
         assert basis.project(F).shape == (6, 5)
+
+
+def _numpy_dense_eigs(lap):
+    """The dense branch as it was written on np.linalg.eigh, all n pairs."""
+    s = 1.0 / np.sqrt(lap.mass)
+    B = (lap.W.multiply(s[:, None]).multiply(s[None, :])).toarray()
+    with single_threaded():
+        w, u = np.linalg.eigh(0.5 * (B + B.T))
+    return np.maximum(w, 0.0), u * s[:, None]
+
+
+def _failing_dsyevd(info):
+    def dsyevd(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros((n, n)), info
+    return dsyevd
+
+
+class TestDenseBranch:
+    @pytest.mark.parametrize(
+        "name", ["tetra", "kite", "square", "strip", "ico162", "ico642", "bumpy642"]
+    )
+    def test_bit_equal_to_numpy_eigh(self, name, spectral_meshes):
+        lap = build_laplacian(spectral_meshes[name])
+        w, u = single_threaded()(spectral._dense_eigs)(lap, lap.n)
+        w_ref, u_ref = _numpy_dense_eigs(lap)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(u, u_ref)
+
+    def test_solves_in_place(self, bumpy642):
+        # the peak is B plus dsyevd's 2 n^2 workspace, ~3 n^2 doubles (the
+        # copy `B += B.T` makes is freed before); one more copy of B is 4 n^2
+        lap = build_laplacian(bumpy642)
+        n = lap.n
+        eigenbasis(lap, 30)  # warm every lazy import first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eigenbasis(lap, 30)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("info", [1, -3])
+    def test_lapack_failure_is_solver_failure(self, tetra, monkeypatch, info):
+        monkeypatch.setattr(spectral, "dsyevd", _failing_dsyevd(info))
+        with pytest.raises(SolverFailure, match=f"dense eigensolver failed.*info = {info}"):
+            eigenbasis(build_laplacian(tetra), 2)
 
 
 class TestDiffusion:

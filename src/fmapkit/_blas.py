@@ -41,6 +41,7 @@ wrapped entry point named first:
 * fmap.solve_fmap: the two Gram products, `eigvalsh`, `solve`
 * fmap.convert_adjoint: `phi2 @ C`
 * fmap.soft_map: `v2 @ v1.T`, per row block
+* fmap._soft_apply: `v2 @ v1.T` and the block's pull-back, per row block
 * fmap.properness_project: `phi2.T @ (m2 * pulled)`
 * fmap.loss_unsupervised, fmap.grad_unsupervised: k x k products
 * diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot);
@@ -49,11 +50,13 @@ wrapped entry point named first:
   also calls
 * diagnostics.theorem_oracle: `lstsq`, `c_opt @ a1`, `phi2 @ c_opt`, `norm`
 * synth.icosphere: 3-vector `norm` (ddot)
-* refine.refine_proper: `phi2 @ C` (adjoint mode), and the fmap calls
+* refine.refine_proper: `phi2 @ C`, the fused per-block pull-back
+  `fmap._soft_apply` and `phi2.T @ (m2 * pulled)` (adjoint mode), and the
+  fmap calls
 * refine.refine_gradient, diagnostics.build_structure_report: only the
   calls above, wrapped once so that a whole run switches the count once
 
-`row_blocks` also runs a soft `PointMap`'s row checks and the `cdist` +
+`row_blocks` also runs the soft-map row checks and the `cdist` +
 `argmin` of `fmap.nearest_rows` (wrapped only to read the caller's count).
 
 Everything else in the package (einsum without `optimize`, norms along an

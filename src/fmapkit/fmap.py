@@ -61,24 +61,8 @@ class PointMap:
                 raise LengthMismatch(
                     f"soft map matrix must be (n2, {self.n_source}), got {self.matrix.shape}"
                 )
-            # Row sums and row minima keep the extra memory O(n2). A NaN
-            # compares False to everything, so the sums catch non-finite rows.
             m = self.matrix
-            sums, lows = np.empty(len(m)), np.empty(len(m))
-
-            def check(a, b):
-                np.sum(m[a:b], axis=1, out=sums[a:b])
-                np.min(m[a:b], axis=1, initial=0.0, out=lows[a:b])
-
-            _blas.row_blocks(check, len(m))
-            if (
-                not np.isfinite(sums).all()
-                or np.any(lows < 0)
-                or np.any(np.abs(sums - 1.0) > 1e-9)
-            ):
-                raise LengthMismatch(
-                    "soft map rows must be finite, non-negative and sum to 1"
-                )
+            _blas.row_blocks(lambda a, b: _check_rows(m[a:b]), len(m))
         else:
             raise LengthMismatch(f"unknown point map kind {self.kind!r}")
 
@@ -100,6 +84,41 @@ class PointMap:
         out = np.empty(m.shape[:1] + values.shape[1:])
         _blas.row_blocks(lambda a, b: np.matmul(m[a:b], values, out=out[a:b]), len(m))
         return out
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise LengthMismatch unless every row is finite, non-negative and sums to 1.
+
+    A NaN compares False to everything, so the sums catch non-finite rows.
+    """
+    sums = rows.sum(axis=1)
+    if (
+        not np.isfinite(sums).all()
+        or np.min(rows, initial=0.0) < 0
+        or np.any(np.abs(sums - 1.0) > 1e-9)
+    ):
+        raise LengthMismatch(
+            "soft map rows must be finite, non-negative and sum to 1"
+        )
+
+
+def _buffered_blocks(fn, n: int, cols: int) -> None:
+    """`_blas.row_blocks` over n rows, calling fn(a, b, buf) with a (b - a, cols) buffer.
+
+    Each worker reuses one buffer. They are allocated here, on the caller's
+    thread: buffers allocated by the workers stay in glibc's per-thread
+    arenas and raise the peak RSS. Call it inside `single_threaded`.
+    """
+    buffers = queue.SimpleQueue()
+    for _ in range(_blas.workers(n)):
+        buffers.put(np.empty((min(_blas.ROW_BLOCK, n), cols)))
+
+    def block(a, b):
+        buf = buffers.get()
+        fn(a, b, buf[:b - a])
+        buffers.put(buf)
+
+    _blas.row_blocks(block, n)
 
 
 def _feature_values(f) -> np.ndarray:
@@ -166,7 +185,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     Squared Euclidean metric, computed coordinate-difference-wise (so values
     agree bit for bit with a naive double loop); ties resolve to the lowest
     index. Runs on the row blocks of `_blas.row_blocks`, so it holds one
-    (ROW_BLOCK, len(points)) distance block per worker.
+    (ROW_BLOCK, len(points)) distance block per worker (`_buffered_blocks`).
     """
     from scipy.spatial.distance import cdist   # here, so `eval` never loads scipy.spatial
     queries = np.asarray(queries, dtype=np.float64)
@@ -175,21 +194,13 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
         )
-    n = len(queries)
-    idx = np.empty(n, dtype=np.int64)
-    # one distance block per worker, allocated here: blocks allocated by
-    # the workers stay in glibc's per-thread arenas and raise the peak RSS
-    buffers = queue.SimpleQueue()
-    for _ in range(_blas.workers(n)):
-        buffers.put(np.empty((min(_blas.ROW_BLOCK, n), len(points))))
+    idx = np.empty(len(queries), dtype=np.int64)
 
-    def block(a, b):
-        buf = buffers.get()
-        d = cdist(queries[a:b], points, metric="sqeuclidean", out=buf[:b - a])
+    def block(a, b, buf):
+        d = cdist(queries[a:b], points, metric="sqeuclidean", out=buf)
         idx[a:b] = np.argmin(d, axis=1)
-        buffers.put(buf)
 
-    _blas.row_blocks(block, n)
+    _buffered_blocks(block, len(queries), len(points))
     return idx
 
 
@@ -218,6 +229,30 @@ def convert_feature_nn(F1, F2) -> PointMap:
     return PointMap("hard", n_source=v1.shape[0], indices=idx)
 
 
+def _soft_inputs(G1, G2, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    v1, v2 = _feature_values(G1), _feature_values(G2)
+    if v1.shape[1] != v2.shape[1]:
+        raise LengthMismatch(f"dimension mismatch: {v1.shape[1]} vs {v2.shape[1]}")
+    return v1, v2
+
+
+def _soft_rows(v1: np.ndarray, rows2: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """The soft-map rows of rows2 against v1, written into out (len(rows2), n1).
+
+    The block's similarity product, then the max shift, `exp` and row
+    normalisation in place: the steps of exp(s - s.max(1)) / sum with
+    s = (rows2 @ v1.T) / tau.
+    """
+    s = np.matmul(rows2, v1.T, out=out)
+    s /= tau
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
 @single_threaded()
 def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> PointMap:
     """Row-stochastic soft assignment from inner-product similarities.
@@ -227,43 +262,58 @@ def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> PointMap:
 
     The call allocates a single n2 x n1 float64 matrix (52 MB at
     n = 2562) and fills it per `_blas.row_blocks` block, on the caller's
-    BLAS threads: the block's similarity product, then the shift, `exp` and
-    normalisation in place. The steps are those of exp(s - s.max(1)) / sum
-    with s = (G2 @ G1.T) / tau; on an AVX-512 OpenBLAS the result is
-    bit-identical to that expression, on any build it does not depend on
-    the thread count. A non-finite similarity (a NaN or an infinite
-    descriptor entry) gives a non-finite row, which PointMap rejects with
-    LengthMismatch.
+    BLAS threads (`_soft_rows`). On an AVX-512 OpenBLAS the result is
+    bit-identical to exp(s - s.max(1)) / sum with s = (G2 @ G1.T) / tau;
+    on any build it does not depend on the thread count. A non-finite
+    similarity (a NaN or an infinite descriptor entry) gives a non-finite
+    row, which PointMap rejects with LengthMismatch.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    v1, v2 = _feature_values(G1), _feature_values(G2)
-    if v1.shape[1] != v2.shape[1]:
-        raise LengthMismatch(f"dimension mismatch: {v1.shape[1]} vs {v2.shape[1]}")
+    v1, v2 = _soft_inputs(G1, G2, tau)
     p = np.empty((len(v2), len(v1)))
-
-    def block(a, b):
-        s = np.matmul(v2[a:b], v1.T, out=p[a:b])
-        s /= tau
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-
-    _blas.row_blocks(block, len(v2))
+    _blas.row_blocks(lambda a, b: _soft_rows(v1, v2[a:b], tau, p[a:b]), len(v2))
     return PointMap("soft", n_source=v1.shape[0], matrix=p)
+
+
+@single_threaded()
+def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
+    """soft_map(G1, G2, tau).apply(values), bit for bit, without the soft map.
+
+    Each `_blas.row_blocks` block builds its soft-map rows in its worker's
+    (ROW_BLOCK, n1) buffer, checks them as PointMap does (LengthMismatch
+    unless finite, non-negative and summing to 1) and pulls them back at
+    once, so the call holds O(workers * ROW_BLOCK * n1) bytes instead of
+    n2 * n1. The blocks split both products exactly as soft_map and
+    PointMap.apply do.
+    """
+    v1, v2 = _soft_inputs(G1, G2, tau)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] != len(v1):
+        raise LengthMismatch(f"{values.shape[0]} rows for a map with n_source {len(v1)}")
+    out = np.empty((len(v2),) + values.shape[1:])
+
+    def block(a, b, buf):
+        rows = _soft_rows(v1, v2[a:b], tau, buf)
+        _check_rows(rows)
+        np.matmul(rows, values, out=out[a:b])
+
+    _buffered_blocks(block, len(v2), len(v1))
+    return out
+
+
+def _project(pulled: np.ndarray, phi2, mass2) -> np.ndarray:
+    """C = Phi2^T M2 pulled, for pulled = Pi Phi1."""
+    phi2 = np.asarray(phi2, dtype=np.float64)
+    mass2 = np.asarray(mass2, dtype=np.float64).ravel()
+    if pulled.shape[0] != phi2.shape[0] or mass2.size != phi2.shape[0]:
+        raise LengthMismatch("point map target size does not match phi2/mass2")
+    return phi2.T @ (mass2[:, None] * pulled)
 
 
 @single_threaded()
 def properness_project(pi: PointMap, phi1: np.ndarray, phi2: np.ndarray,
                        mass2: np.ndarray) -> np.ndarray:
     """Proper functional map of a pointwise map: C = Phi2^T M2 (Pi Phi1)."""
-    phi1 = np.asarray(phi1, dtype=np.float64)
-    phi2 = np.asarray(phi2, dtype=np.float64)
-    mass2 = np.asarray(mass2, dtype=np.float64).ravel()
-    pulled = pi.apply(phi1)
-    if pulled.shape[0] != phi2.shape[0] or mass2.size != phi2.shape[0]:
-        raise LengthMismatch("point map target size does not match phi2/mass2")
-    return phi2.T @ (mass2[:, None] * pulled)
+    return _project(pi.apply(phi1), phi2, mass2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from ._blas import single_threaded
 from .errors import MissingFeatures, NonFiniteEnergy
 from .fmap import (
     DEFAULT_TAU,
+    _project,
+    _soft_apply,
     grad_unsupervised,
     loss_properness,
     loss_unsupervised,
@@ -46,8 +48,12 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     properness loss between consecutive iterates. Stops early when that
     residual, or its change, falls below 1e-10.
 
-    Each iteration's (n2, n1) soft map is released once it is projected,
-    before the next one is built, so at most one is alive at a time.
+    Adjoint mode never builds its (n2, n1) soft maps: each iteration pulls
+    Phi1 back through one row block of the soft map at a time
+    (`fmap._soft_apply`), so it holds O(workers * ROW_BLOCK * n1) bytes
+    plus a few (n2, k) arrays, with the bits of
+    properness_project(soft_map(Phi1, Phi2 C), Phi1, Phi2, M2). Feature mode
+    builds its one soft map whole.
     """
     if mode not in ("adjoint", "feature"):
         raise ValueError(f"unknown refine mode {mode!r}")
@@ -56,18 +62,14 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     C = np.asarray(C0, dtype=np.float64).copy()
-
-    def project(g1, g2):
-        return properness_project(soft_map(g1, g2, tau), basis1.phi, basis2.phi,
-                                  basis2.mass)
-
+    phi1, phi2, mass2 = basis1.phi, basis2.phi, basis2.mass
     if mode == "feature":
-        C_next = project(F1, F2)
+        C_next = properness_project(soft_map(F1, F2, tau), phi1, phi2, mass2)
         r = loss_properness(C, C_next)
         return C_next, np.asarray([r] if iters == 1 or r < RESIDUAL_EPS else [r, 0.0])
     trace = []
     for i in range(iters):
-        C_next = project(basis1.phi, basis2.phi @ C)
+        C_next = _project(_soft_apply(phi1, phi2 @ C, phi1, tau), phi2, mass2)
         r = loss_properness(C, C_next)
         trace.append(r)
         C = C_next

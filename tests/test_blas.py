@@ -34,6 +34,7 @@ ENTRY_POINTS = [
     fmap.convert_adjoint,
     fmap.nearest_rows,
     fmap.soft_map,
+    fmap._soft_apply,
     fmap.properness_project,
     fmap.loss_unsupervised,
     fmap.grad_unsupervised,
@@ -160,12 +161,15 @@ class TestSingleThreaded:
 
 
 def _row_block_outputs(n):
-    """soft_map, soft PointMap.apply and nearest_rows, each over n rows."""
+    """soft_map, soft PointMap.apply, nearest_rows and the block-wise soft
+    pull-back, each over n rows."""
     rng = np.random.default_rng(n)
     g1, g2 = rng.standard_normal((40, 6)), rng.standard_normal((n, 6))
     pi = fmap.soft_map(g1, g2, tau=0.3)
     points = np.repeat(rng.standard_normal((20, 6)), 2, axis=0)   # exact ties
-    return pi.matrix, pi.apply(rng.standard_normal((40, 5))), fmap.nearest_rows(g2, points)
+    values = rng.standard_normal((40, 5))
+    return (pi.matrix, pi.apply(values), fmap.nearest_rows(g2, points),
+            fmap._soft_apply(g1, g2, values, tau=0.3))
 
 
 @no_blas_control
@@ -260,6 +264,8 @@ def test_non_finite_row_in_any_block_raises(two_threads, where, bad):
     g2[row, 1] = bad
     with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch):
         fmap.soft_map(g1, g2)
+    with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch):
+        fmap._soft_apply(g1, g2, g1)
     matrix = np.full((n, 30), 1 / 30)
     matrix[row, 3] = bad
     with pytest.raises(LengthMismatch):

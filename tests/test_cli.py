@@ -487,19 +487,28 @@ class TestBenchTrace:
 
     def test_trace_reads_the_refine_layers_of_a_match(self, small_pair, tmp_path,
                                                       monkeypatch):
-        # the soft map and the projection keep their own spans and byte count,
-        # so a refine loop that stops calling them cannot zero the metrics
-        tracer = self.tracer(monkeypatch)
-        with tracer.installed(op=0):
-            run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
-                                  out=str(tmp_path / "map.txt"), desc="stack",
-                                  refine="proper-adjoint"))
-        seconds = tracer.per_op()[0]
+        # feature mode builds one whole soft map and projects it, in their own
+        # spans; adjoint mode builds no soft map, so its time is refine's own
+        # and the soft-map span and byte count stay empty (the report still
+        # projects the hard map through `fmap.project`)
+        def traced_match(refine):
+            tracer = self.tracer(monkeypatch)
+            with tracer.installed(op=0):
+                run_match(MatchConfig(src=str(small_pair.src), dst=str(small_pair.dst),
+                                      out=str(tmp_path / "map.txt"), desc="stack",
+                                      refine=refine))
+            return tracer, tracer.per_op()[0]
+
+        tracer, seconds = traced_match("proper-feature")
         for span in ("fmap.softmap", "fmap.project"):
             assert seconds[span] > 0, span
         n1 = load_mesh(small_pair.src).n_vertices
         n2 = load_mesh(small_pair.dst).n_vertices
         assert tracer.peaks["fmap.softmap_bytes"] == n2 * n1 * 8
+        tracer, seconds = traced_match("proper-adjoint")
+        assert seconds["refine.proper"] > 0
+        assert seconds["fmap.softmap"] == 0
+        assert tracer.peaks["fmap.softmap_bytes"] == 0
 
 
 IMPORTS_SCRIPT = """

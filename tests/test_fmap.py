@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from fmapkit import _blas
+from fmapkit import _blas, fmap
 from fmapkit._blas import single_threaded
 from fmapkit.errors import LengthMismatch, RankDeficient
 from fmapkit.fmap import (
@@ -253,6 +253,14 @@ class TestSoftMap:
         G2[2, 1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch, match="finite"):
             soft_map(G1, G2)
+
+    def test_block_apply_validation(self):
+        with pytest.raises(ValueError):
+            fmap._soft_apply(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), tau=0.0)
+        with pytest.raises(LengthMismatch):
+            fmap._soft_apply(np.ones((2, 3)), np.ones((2, 2)), np.ones(2))
+        with pytest.raises(LengthMismatch):
+            fmap._soft_apply(np.ones((2, 2)), np.ones((2, 2)), np.ones(3))
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

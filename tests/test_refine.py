@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fmapkit import refine
-from fmapkit.errors import MissingFeatures, NonFiniteEnergy
+from fmapkit import _blas, refine
+from fmapkit.errors import LengthMismatch, MissingFeatures, NonFiniteEnergy
 from fmapkit.evaluate import geodesic_error
 from fmapkit.fmap import (
     convert_adjoint,
@@ -99,18 +99,42 @@ class TestRefineProper:
         assert trace.tolist() == [0.0]
         assert np.array_equal(C_again, C) and len(calls) == 2
 
-    def test_holds_one_soft_map_at_a_time(self, pair, noisy_start):
-        one_map = pair.basis2.n * pair.basis1.n * 8
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _, trace = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(trace) == 10
-        assert peak < 1.5 * one_map
+    @pytest.mark.parametrize("row_block", [1, 7, None])
+    def test_adjoint_step_equals_soft_map_then_projection(self, pair, noisy_start,
+                                                          monkeypatch, row_block):
+        if row_block is not None:
+            monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
+        phi1, phi2 = pair.basis1.phi, pair.basis2.phi
+        C, _ = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=1)
+        C_ref = properness_project(soft_map(phi1, phi2 @ noisy_start), phi1, phi2,
+                                   pair.lap2.mass)
+        assert np.array_equal(C, C_ref)
+
+    def test_holds_one_soft_map_at_a_time(self, pair, noisy_start, monkeypatch):
+        # adjoint mode holds no soft map at all: one row block per worker and
+        # a few (n2, k) arrays, far below the (n2, n1) map
+        n1, n2, k = pair.basis1.n, pair.basis2.n, pair.basis1.k
+        for row_block in (24, 96):
+            monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
+            with _blas.single_threaded():
+                workers = _blas.workers(n2)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                _, trace = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == 10
+            assert peak < workers * row_block * n1 * 8 + 4 * n2 * k * 8, row_block
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_raises(self, pair, noisy_start, bad):
+        C0 = noisy_start.copy()
+        C0[3, 4] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch, match="finite"):
+            refine_proper(C0, pair.basis1, pair.basis2, iters=10)
 
     def test_feature_mode_needs_features(self, pair):
         with pytest.raises(MissingFeatures):

@@ -41,8 +41,8 @@ def run_variant(name, F1, F2, basis1, basis2, mu, perm, mesh1, convert="adjoint"
         pm = convert_adjoint(C, basis1.phi, basis2.phi)
     else:
         pm = convert_feature_nn(F1, F2)
-    errors = geodesic_error(pm.indices, perm, mesh1)
-    exact = float(np.mean(pm.indices == perm))
+    errors = geodesic_error(pm, perm, mesh1)
+    exact = float(np.mean(pm == perm))
     curve = accuracy_curve(errors, [0.0, 1.0, 5.0])
     print(f"{name:>10s}: mean err {errors.mean():8.4f}   exact {exact:6.1%}   "
           f"acc@1 {curve[1]:6.1%}   acc@5 {curve[2]:6.1%}")

@@ -18,7 +18,7 @@ from fmapkit.spectral import build_laplacian, eigenbasis
 
 def mean_error(C, basis1, basis2, perm, mesh1):
     pm = convert_adjoint(C, basis1.phi, basis2.phi)
-    return float(geodesic_error(pm.indices, perm, mesh1).mean())
+    return float(geodesic_error(pm, perm, mesh1).mean())
 
 
 def main(argv=None):

@@ -54,12 +54,10 @@ from .descriptors import (
     project_coeffs,
 )
 from .fmap import (
-    PointMap,
     convert_adjoint,
     convert_feature_nn,
     grad_unsupervised,
     loss_properness,
-    loss_supervised,
     loss_unsupervised,
     nearest_rows,
     properness_project,

@@ -37,11 +37,13 @@ wrapped entry point named first:
   `eigsh` with its sparse LU (sparse branch)
 * spectral.SpectralBasis.project: `phi.T @ (m * f)`
 * spectral.SpectralBasis.reconstruct: `phi @ a`
-* fmap.PointMap.apply: `matrix @ values` (soft maps), per row block
 * fmap.solve_fmap: the two Gram products, `eigvalsh`, `solve`
 * fmap.convert_adjoint: `phi2 @ C`
 * fmap.soft_map: `v2 @ v1.T`, per row block
 * fmap._soft_apply: `v2 @ v1.T` and the block's pull-back, per row block
+* fmap._pull_back: `matrix @ values` (soft maps), per row block;
+  properness_project, diagnostics.energy_terms and
+  diagnostics.measure_basis_aligning call it
 * fmap.properness_project: `phi2.T @ (m2 * pulled)`
 * fmap.loss_unsupervised, fmap.grad_unsupervised: k x k products
 * diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot);

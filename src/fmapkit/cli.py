@@ -168,7 +168,7 @@ def run_match(cfg: MatchConfig):
         pm = convert_adjoint(C, basis1.phi, basis2.phi)
     else:
         pm = convert_feature_nn(f1, f2)
-    save_correspondence(pm.indices, cfg.out)
+    save_correspondence(pm, cfg.out)
     report = build_structure_report(C, basis1, basis2, f1, f2,
                                     adjoint=pm if cfg.convert == "adjoint" else None)
     Path(cfg.out + ".report").write_text(report.to_text())
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         if command == "match":
             cfg = MatchConfig(**opts)
             pm, _, _ = run_match(cfg)
-            print(f"wrote {cfg.out} ({pm.n_target} vertices) and {cfg.out}.report")
+            print(f"wrote {cfg.out} ({len(pm)} vertices) and {cfg.out}.report")
         elif command == "eval":
             errors = run_eval(**opts)
             print(f"mean={float(errors.mean()):.6f}")

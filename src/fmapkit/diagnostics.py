@@ -12,7 +12,6 @@ measured and reported; nothing raises on a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -20,12 +19,12 @@ from ._blas import single_threaded
 from .errors import LengthMismatch, ZeroFeatures
 from .fmap import (
     RANK_RTOL,
-    PointMap,
     convert_adjoint,
     convert_feature_nn,
     loss_properness,
     properness_project,
     _feature_values,
+    _pull_back,
 )
 from .mesh import _fmt
 from .spectral import SpectralBasis
@@ -53,7 +52,7 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
 
 
 def measure_properness(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                       mass2: np.ndarray, adjoint: PointMap | None = None) -> float:
+                       mass2: np.ndarray, adjoint: np.ndarray | None = None) -> float:
     """||C - C_proper||_F^2 with C_proper built from C's own adjoint map.
 
     A caller that holds that map, convert_adjoint(C, phi1, phi2), passes it
@@ -66,7 +65,7 @@ def measure_properness(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
 
 @single_threaded()
 def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                           adjoint: PointMap | None = None) -> float:
+                           adjoint: np.ndarray | None = None) -> float:
     """One-way chamfer ||Phi2 C - Pi Phi1||_F for the nearest-row map Pi.
 
     Pi is C's adjoint map; `adjoint` passes it as in measure_properness.
@@ -76,7 +75,10 @@ def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
     phi2 = np.asarray(phi2, dtype=np.float64)
     if adjoint is None:
         adjoint = convert_adjoint(C, phi1, phi2)
-    return float(np.linalg.norm(phi2 @ C - phi1[adjoint.indices]))
+    pulled = _pull_back(adjoint, phi1)
+    if len(pulled) != len(phi2):   # a one-row map would broadcast against Phi2 C
+        raise LengthMismatch(f"a map of {len(pulled)} rows for {len(phi2)} rows of phi2")
+    return float(np.linalg.norm(phi2 @ C - pulled))
 
 
 def _rank(x) -> int:
@@ -139,8 +141,8 @@ def _nearest_other(values: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def energy_terms(pi: PointMap, F1, F2, basis2: SpectralBasis):
-    """Split correspondence energy of a pointwise map.
+def energy_terms(pi: np.ndarray, F1, F2, basis2: SpectralBasis):
+    """Split correspondence energy of a hard or soft map.
 
     X = Pi F1 - F2. Returns (E, E1, E2) with E the area-weighted squared
     norm of X, E1 the squared Frobenius norm of its coefficients
@@ -149,7 +151,10 @@ def energy_terms(pi: PointMap, F1, F2, basis2: SpectralBasis):
     projection), which makes the identity a meaningful machine check.
     """
     v1, v2 = _feature_values(F1), _feature_values(F2)
-    x = pi.apply(v1) - v2
+    x = _pull_back(pi, v1)
+    if len(x) != len(v2):   # a one-row map would broadcast against F2
+        raise LengthMismatch(f"a map of {len(x)} rows for {len(v2)} rows of F2")
+    x -= v2
     mass = basis2.mass
     e = float(np.einsum("n,nd->", mass, x ** 2))
     coeffs = basis2.project(x)
@@ -254,13 +259,12 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
         / max(1.0, float(np.linalg.norm(emb)))
 
     nn = convert_feature_nn(v1, v2)
-    agreement = float(np.mean(adj.indices == nn.indices))
+    agreement = float(np.mean(adj == nn))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probe_maps):
-        probe = PointMap("hard", n_source=basis1.n,
-                         indices=rng.integers(0, basis1.n, size=basis2.n))
+        probe = rng.integers(0, basis1.n, size=basis2.n)
         e, e1, e2 = energy_terms(probe, v1, v2, basis2)
         worst = max(worst, abs(e - (e1 + e2)) / max(1.0, e))
 
@@ -296,7 +300,7 @@ class StructureReport:
 @single_threaded()
 def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
                            basis2: SpectralBasis, F1, F2,
-                           adjoint: PointMap | None = None) -> StructureReport:
+                           adjoint: np.ndarray | None = None) -> StructureReport:
     """Assemble the per-pair report; completeness is the worse of two sides.
 
     The properness residual and the basis-aligning chamfer both need C's

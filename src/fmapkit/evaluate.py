@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
-from .fmap import PointMap
 from . import mesh as _mesh
 from .mesh import TriMesh, _fmt, graph_geodesics
 
@@ -16,11 +15,11 @@ _BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
 
 
 def _indices(m) -> np.ndarray:
-    if isinstance(m, PointMap):
-        if m.kind != "hard":
-            raise LengthMismatch("evaluation needs hard maps")
-        return m.indices
-    return np.asarray(m, dtype=np.int64).ravel()
+    """A hard map as int64; anything but (n,) integers raises LengthMismatch."""
+    m = np.asarray(m)
+    if m.ndim != 1 or m.dtype.kind not in "iu":
+        raise LengthMismatch(f"evaluation needs (n,) integer indices, got {m.dtype} {m.shape}")
+    return m.astype(np.int64, copy=False)
 
 
 def _landmark_bounds(mesh: TriMesh, g: np.ndarray, p: np.ndarray) -> np.ndarray:

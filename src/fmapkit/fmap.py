@@ -5,16 +5,14 @@ Direction bookkeeping, fixed package-wide:
 * C maps coefficients on shape 1 to coefficients on shape 2 and has shape
   (k2, k1): it acts as A2 ~ C A1.
 * Pointwise maps go the other way: a hard map assigns every vertex of
-  shape 2 a vertex of shape 1 (indices of length n2 into [0, n1)); a soft
-  map is a row-stochastic (n2, n1) matrix.
+  shape 2 a vertex of shape 1, an (n2,) int64 array of indices into
+  [0, n1); a soft map is a row-stochastic (n2, n1) float64 array.
 * The properness projection of a pointwise map is C = Phi2^T M2 (Pi Phi1).
 """
 
 from __future__ import annotations
 
 import queue
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import _blas
@@ -27,63 +25,6 @@ RANK_RTOL = 1e-10
 
 DEFAULT_TAU = 0.07
 DEFAULT_MU = 1e-3
-
-
-@dataclass
-class PointMap:
-    """Vertex assignment from shape 2 onto shape 1.
-
-    kind 'hard': indices is (n2,) int64 into [0, n_source).
-    kind 'soft': matrix is (n2, n_source), rows non-negative, summing to 1.
-    """
-
-    kind: str
-    n_source: int
-    indices: np.ndarray | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind == "hard":
-            if self.indices is None:
-                raise LengthMismatch("hard map needs indices")
-            self.indices = np.asarray(self.indices, dtype=np.int64).ravel()
-            if self.indices.size and (
-                self.indices.min() < 0 or self.indices.max() >= self.n_source
-            ):
-                raise LengthMismatch(
-                    f"hard map indices outside [0, {self.n_source})"
-                )
-        elif self.kind == "soft":
-            if self.matrix is None:
-                raise LengthMismatch("soft map needs a matrix")
-            self.matrix = np.asarray(self.matrix, dtype=np.float64)
-            if self.matrix.ndim != 2 or self.matrix.shape[1] != self.n_source:
-                raise LengthMismatch(
-                    f"soft map matrix must be (n2, {self.n_source}), got {self.matrix.shape}"
-                )
-            m = self.matrix
-            _blas.row_blocks(lambda a, b: _check_rows(m[a:b]), len(m))
-        else:
-            raise LengthMismatch(f"unknown point map kind {self.kind!r}")
-
-    @property
-    def n_target(self) -> int:
-        return len(self.indices) if self.kind == "hard" else self.matrix.shape[0]
-
-    @single_threaded()
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Pull shape-1 vertex values back onto shape 2 (Pi @ values)."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] != self.n_source:
-            raise LengthMismatch(
-                f"{values.shape[0]} rows for a map with n_source {self.n_source}"
-            )
-        if self.kind == "hard":
-            return values[self.indices]
-        m = self.matrix
-        out = np.empty(m.shape[:1] + values.shape[1:])
-        _blas.row_blocks(lambda a, b: np.matmul(m[a:b], values, out=out[a:b]), len(m))
-        return out
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -205,8 +146,8 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 @single_threaded()
-def convert_adjoint(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> PointMap:
-    """Pointwise map from C by the adjoint rule.
+def convert_adjoint(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Hard map, (n2,) int64, from C by the adjoint rule.
 
     Each row of Phi2 C (the shape-2 vertices pushed into shape 1's
     coefficient space) is matched to its nearest row of Phi1.
@@ -218,15 +159,13 @@ def convert_adjoint(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> PointM
         raise LengthMismatch(
             f"C {C.shape} incompatible with phi1 {phi1.shape} / phi2 {phi2.shape}"
         )
-    idx = nearest_rows(phi2 @ C, phi1)
-    return PointMap("hard", n_source=phi1.shape[0], indices=idx)
+    return nearest_rows(phi2 @ C, phi1)
 
 
-def convert_feature_nn(F1, F2) -> PointMap:
-    """Pointwise map by nearest neighbors between descriptor rows."""
+def convert_feature_nn(F1, F2) -> np.ndarray:
+    """Hard map, (n2,) int64, by nearest neighbors between descriptor rows."""
     v1, v2 = _feature_values(F1), _feature_values(F2)
-    idx = nearest_rows(v2, v1)
-    return PointMap("hard", n_source=v1.shape[0], indices=idx)
+    return nearest_rows(v2, v1)
 
 
 def _soft_inputs(G1, G2, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,41 +193,43 @@ def _soft_rows(v1: np.ndarray, rows2: np.ndarray, tau: float, out: np.ndarray) -
 
 
 @single_threaded()
-def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> PointMap:
-    """Row-stochastic soft assignment from inner-product similarities.
+def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> np.ndarray:
+    """Row-stochastic (n2, n1) float64 soft map from inner-product similarities.
 
     Pi[i, j] = exp(<G2[i], G1[j]> / tau) / sum_k exp(<G2[i], G1[k]> / tau),
     computed with a per-row max shift so large similarities cannot overflow.
 
-    The call allocates a single n2 x n1 float64 matrix (52 MB at
-    n = 2562) and fills it per `_blas.row_blocks` block, on the caller's
-    BLAS threads (`_soft_rows`). On an AVX-512 OpenBLAS the result is
+    The call allocates the one n2 x n1 float64 array it returns (52 MB
+    at n = 2562) and fills it per `_blas.row_blocks` block, on the
+    caller's BLAS threads (`_soft_rows`), checking each block's rows as
+    it is made (`_check_rows`). On an AVX-512 OpenBLAS the result is
     bit-identical to exp(s - s.max(1)) / sum with s = (G2 @ G1.T) / tau;
     on any build it does not depend on the thread count. A non-finite
     similarity (a NaN or an infinite descriptor entry) gives a non-finite
-    row, which PointMap rejects with LengthMismatch.
+    row, which the check rejects with LengthMismatch.
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
     p = np.empty((len(v2), len(v1)))
-    _blas.row_blocks(lambda a, b: _soft_rows(v1, v2[a:b], tau, p[a:b]), len(v2))
-    return PointMap("soft", n_source=v1.shape[0], matrix=p)
+    _blas.row_blocks(lambda a, b: _check_rows(_soft_rows(v1, v2[a:b], tau, p[a:b])),
+                     len(v2))
+    return p
 
 
 @single_threaded()
 def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """soft_map(G1, G2, tau).apply(values), bit for bit, without the soft map.
+    """_pull_back(soft_map(G1, G2, tau), values), bit for bit, without the soft map.
 
     Each `_blas.row_blocks` block builds its soft-map rows in its worker's
-    (ROW_BLOCK, n1) buffer, checks them as PointMap does (LengthMismatch
+    (ROW_BLOCK, n1) buffer, checks them as soft_map does (LengthMismatch
     unless finite, non-negative and summing to 1) and pulls them back at
     once, so the call holds O(workers * ROW_BLOCK * n1) bytes instead of
     n2 * n1. The blocks split both products exactly as soft_map and
-    PointMap.apply do.
+    _pull_back do.
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != len(v1):
-        raise LengthMismatch(f"{values.shape[0]} rows for a map with n_source {len(v1)}")
+        raise LengthMismatch(f"{values.shape[0]} rows of values for a map onto {len(v1)}")
     out = np.empty((len(v2),) + values.shape[1:])
 
     def block(a, b, buf):
@@ -297,6 +238,37 @@ def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
         np.matmul(rows, values, out=out[a:b])
 
     _buffered_blocks(block, len(v2), len(v1))
+    return out
+
+
+@single_threaded()
+def _pull_back(pi, values) -> np.ndarray:
+    """Pi @ values: shape-1 vertex values pulled back onto shape 2.
+
+    The array says which map pi is: 1-D integers are a hard map (indices
+    into [0, n1), n1 = len(values)), 2-D is a soft map (n2, n1), rows
+    finite, non-negative and summing to 1 within 1e-9. Anything else, an
+    index outside [0, n1) (numpy would wrap a negative one), a soft map of
+    another width or a bad soft row raises LengthMismatch. A soft map's
+    rows are checked and multiplied in one `_blas.row_blocks` pass.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n1 = len(values)
+    pi = np.asarray(pi)
+    if pi.ndim == 1 and pi.dtype.kind in "iu":
+        if pi.size and (pi.min() < 0 or pi.max() >= n1):
+            raise LengthMismatch(f"hard map indices outside [0, {n1})")
+        return values[pi]
+    if pi.ndim != 2 or pi.shape[1] != n1:
+        raise LengthMismatch(f"not a point map onto {n1} rows: {pi.dtype} {pi.shape}")
+    pi = np.asarray(pi, dtype=np.float64)
+    out = np.empty((len(pi),) + values.shape[1:])
+
+    def block(a, b):
+        _check_rows(pi[a:b])
+        np.matmul(pi[a:b], values, out=out[a:b])
+
+    _blas.row_blocks(block, len(pi))
     return out
 
 
@@ -310,28 +282,23 @@ def _project(pulled: np.ndarray, phi2, mass2) -> np.ndarray:
 
 
 @single_threaded()
-def properness_project(pi: PointMap, phi1: np.ndarray, phi2: np.ndarray,
+def properness_project(pi: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
                        mass2: np.ndarray) -> np.ndarray:
-    """Proper functional map of a pointwise map: C = Phi2^T M2 (Pi Phi1)."""
-    return _project(pi.apply(phi1), phi2, mass2)
+    """Proper functional map of a hard or soft map: C = Phi2^T M2 (Pi Phi1)."""
+    return _project(_pull_back(pi, phi1), phi2, mass2)
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
-def loss_supervised(C_pred: np.ndarray, C_gt: np.ndarray) -> float:
-    """Squared Frobenius distance to a ground-truth map."""
-    C_pred = np.asarray(C_pred, dtype=np.float64)
-    C_gt = np.asarray(C_gt, dtype=np.float64)
-    if C_pred.shape != C_gt.shape:
-        raise LengthMismatch(f"shapes differ: {C_pred.shape} vs {C_gt.shape}")
-    return float(np.sum((C_pred - C_gt) ** 2))
-
-
 def loss_properness(C_pred: np.ndarray, C_proper: np.ndarray) -> float:
     """Squared Frobenius distance between a map and its proper projection."""
-    return loss_supervised(C_pred, C_proper)
+    C_pred = np.asarray(C_pred, dtype=np.float64)
+    C_proper = np.asarray(C_proper, dtype=np.float64)
+    if C_pred.shape != C_proper.shape:
+        raise LengthMismatch(f"shapes differ: {C_pred.shape} vs {C_proper.shape}")
+    return float(np.sum((C_pred - C_proper) ** 2))
 
 
 @single_threaded()

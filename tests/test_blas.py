@@ -29,7 +29,7 @@ ENTRY_POINTS = [
     spectral.eigenbasis,
     spectral.SpectralBasis.project,
     spectral.SpectralBasis.reconstruct,
-    fmap.PointMap.apply,
+    fmap._pull_back,
     fmap.solve_fmap,
     fmap.convert_adjoint,
     fmap.nearest_rows,
@@ -161,14 +161,14 @@ class TestSingleThreaded:
 
 
 def _row_block_outputs(n):
-    """soft_map, soft PointMap.apply, nearest_rows and the block-wise soft
+    """soft_map, its pull-back, nearest_rows and the block-wise soft
     pull-back, each over n rows."""
     rng = np.random.default_rng(n)
     g1, g2 = rng.standard_normal((40, 6)), rng.standard_normal((n, 6))
     pi = fmap.soft_map(g1, g2, tau=0.3)
     points = np.repeat(rng.standard_normal((20, 6)), 2, axis=0)   # exact ties
     values = rng.standard_normal((40, 5))
-    return (pi.matrix, pi.apply(values), fmap.nearest_rows(g2, points),
+    return (pi, fmap._pull_back(pi, values), fmap.nearest_rows(g2, points),
             fmap._soft_apply(g1, g2, values, tau=0.3))
 
 
@@ -269,7 +269,7 @@ def test_non_finite_row_in_any_block_raises(two_threads, where, bad):
     matrix = np.full((n, 30), 1 / 30)
     matrix[row, 3] = bad
     with pytest.raises(LengthMismatch):
-        fmap.PointMap("soft", n_source=30, matrix=matrix)
+        fmap._pull_back(matrix, g1)
 
 
 @no_blas_control
@@ -303,8 +303,7 @@ def test_no_thread_outlives_a_call(two_threads, tmp_path):
     argv = ["--src", str(tmp_path / "src.off"), "--dst", str(tmp_path / "dst.off")]
     calls = {
         "soft_map": lambda: fmap.soft_map(basis1.phi, basis2.phi),
-        "PointMap": lambda: fmap.PointMap("soft", n_source=pi.n_source, matrix=pi.matrix),
-        "apply": lambda: pi.apply(basis1.phi),
+        "pull_back": lambda: fmap._pull_back(pi, basis1.phi),
         "nearest_rows": lambda: fmap.nearest_rows(basis2.phi, basis1.phi),
         "convert_adjoint": lambda: fmap.convert_adjoint(C, basis1.phi, basis2.phi),
         "convert_feature_nn": lambda: fmap.convert_feature_nn(basis1.phi, basis2.phi),
@@ -331,7 +330,7 @@ from pathlib import Path
 import numpy as np
 from fmapkit import synth
 from fmapkit.cli import main
-from fmapkit.fmap import PointMap, properness_project
+from fmapkit.fmap import properness_project
 from fmapkit.mesh import save_mesh
 from fmapkit.refine import refine_proper
 from fmapkit.spectral import build_laplacian, eigenbasis
@@ -341,8 +340,7 @@ mesh1 = synth.bumpy_sphere(3)
 mesh2, perm = synth.permuted_copy(mesh1, seed=11)
 lap1, lap2 = build_laplacian(mesh1), build_laplacian(mesh2)
 basis1, basis2 = eigenbasis(lap1, 30), eigenbasis(lap2, 30)
-pi = PointMap("hard", n_source=mesh1.n_vertices, indices=perm)
-C_gt = properness_project(pi, basis1.phi, basis2.phi, lap2.mass)
+C_gt = properness_project(perm, basis1.phi, basis2.phi, lap2.mass)
 C0 = C_gt + 0.1 * np.random.default_rng(17).standard_normal((30, 30))
 _, trace = refine_proper(C0, basis1, basis2, iters=10)
 print(repr(trace.tolist()))

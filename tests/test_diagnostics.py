@@ -25,7 +25,7 @@ from fmapkit.diagnostics import (
     theorem_oracle,
 )
 from fmapkit.errors import LengthMismatch, ZeroFeatures
-from fmapkit.fmap import PointMap, convert_adjoint, soft_map
+from fmapkit.fmap import convert_adjoint, soft_map
 from fmapkit.spectral import eigenbasis
 
 
@@ -99,7 +99,7 @@ class TestPointwiseMeasures:
 
         pi = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
         manual = float(np.linalg.norm(pair.basis2.phi @ C
-                                      - pair.basis1.phi[pi.indices]))
+                                      - pair.basis1.phi[pi]))
         assert measure_basis_aligning(C, pair.basis1.phi, pair.basis2.phi) \
             == pytest.approx(manual, rel=1e-12)
 
@@ -111,6 +111,17 @@ class TestPointwiseMeasures:
             == measure_properness(C, phi1, phi2, mass2)
         assert measure_basis_aligning(C, phi1, phi2, adjoint=pm) \
             == measure_basis_aligning(C, phi1, phi2)
+
+    def test_given_adjoint_map_must_fit(self, pair):
+        phi1, phi2, mass2 = pair.basis1.phi, pair.basis2.phi, pair.lap2.mass
+        negative = pair.perm.copy()
+        negative[0] = -1   # numpy would wrap it to the last row
+        # one row would broadcast against Phi2 C
+        for pm in (pair.perm[:1], negative):
+            with pytest.raises(LengthMismatch):
+                measure_basis_aligning(pair.C_gt, phi1, phi2, adjoint=pm)
+            with pytest.raises(LengthMismatch):
+                measure_properness(pair.C_gt, phi1, phi2, mass2, adjoint=pm)
 
 
 class TestRankAndDistinctness:
@@ -172,7 +183,7 @@ class TestEnergyDecomposition:
     def test_pythagoras_for_random_hard_maps(self, pair, complete_features, seed):
         F1, F2 = complete_features
         rng = np.random.default_rng(seed)
-        pi = PointMap("hard", n_source=642, indices=rng.integers(0, 642, 642))
+        pi = rng.integers(0, 642, 642)
         e, e1, e2 = energy_terms(pi, F1, F2, pair.basis2)
         assert abs(e - (e1 + e2)) <= 1e-8 * max(1.0, e)
 
@@ -184,24 +195,51 @@ class TestEnergyDecomposition:
 
     def test_in_span_residual_has_zero_e2(self, pair, complete_features):
         F1, F2 = complete_features
-        pi = PointMap("hard", n_source=642, indices=np.zeros(642, dtype=int))
         # Pi F1 and F2 both lie in span(basis2.phi)? Pi F1 does not in
         # general, so build X in-span explicitly instead: map everything
         # through the ground-truth permutation, X = 0 exactly.
-        pi = PointMap("hard", n_source=642, indices=pair.perm)
-        e, e1, e2 = energy_terms(pi, F1, F2, pair.basis2)
+        e, e1, e2 = energy_terms(pair.perm, F1, F2, pair.basis2)
         assert e == pytest.approx(0.0, abs=1e-18)
         assert e1 == pytest.approx(0.0, abs=1e-18)
         assert e2 == pytest.approx(0.0, abs=1e-18)
 
     def test_orthogonal_residual_has_zero_e1(self, pair, complete_features, high_modes):
         F1, F2 = complete_features
-        pi = PointMap("hard", n_source=642, indices=pair.perm)
-        e, e1, e2 = energy_terms(pi, F1, F2 - high_modes[:, [0] * F2.shape[1]],
+        e, e1, e2 = energy_terms(pair.perm, F1, F2 - high_modes[:, [0] * F2.shape[1]],
                                  pair.basis2)
         # X = Pi F1 - (F2 - high) = high component only... but high lives on
         # mesh1's basis; mesh2's span differs, so only check the identity
         assert abs(e - (e1 + e2)) <= 1e-10 * max(1.0, e)
+
+
+    def test_negative_index_raises(self, pair, complete_features):
+        F1, F2 = complete_features
+        pi = pair.perm.copy()
+        pi[7] = -1   # numpy would wrap it to the last row
+        with pytest.raises(LengthMismatch):
+            energy_terms(pi, F1, F2, pair.basis2)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_map_rows_must_match_f2(self, pair, complete_features, rows):
+        # one row would broadcast against F2 and give an energy
+        F1, F2 = complete_features
+        with pytest.raises(LengthMismatch):
+            energy_terms(pair.perm[:rows], F1, F2, pair.basis2)
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
+    def test_bad_soft_row_raises(self, pair, complete_features, bad):
+        F1, F2 = complete_features
+        pi = soft_map(pair.basis1.phi, pair.basis2.phi, tau=1.0)
+        row = pi[-1]   # in the last row block
+        if bad == "nan":
+            row[0] = np.nan
+        elif bad == "negative":   # the row still sums to 1
+            row[1] += 2 * row[0]
+            row[0] = -row[0]
+        else:
+            row[0] -= 1e-6
+        with pytest.raises(LengthMismatch, match="finite"):
+            energy_terms(pi, F1, F2, pair.basis2)
 
 
 class TestTheoremOracle:

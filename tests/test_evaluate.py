@@ -10,7 +10,6 @@ from fmapkit import evaluate, mesh as mesh_module, synth
 from fmapkit.cli import main
 from fmapkit.errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
 from fmapkit.evaluate import accuracy_curve, geodesic_error, write_error_report
-from fmapkit.fmap import PointMap
 from fmapkit.mesh import TriMesh, graph_geodesics, save_correspondence, save_mesh
 
 # swapping two adjacent unit-edge vertices on the regular tetrahedron:
@@ -109,14 +108,23 @@ class TestGeodesicError:
         assert np.abs(scaled - base).max() <= 1e-9 * base.max()
 
     def test_accepts_hard_point_map(self, tetra):
-        pm = PointMap("hard", n_source=4, indices=np.array([1, 0, 2, 3]))
-        e = geodesic_error(pm, np.arange(4), tetra)
-        assert e[0] == pytest.approx(TETRA_SWAP_ERR, rel=1e-12)
+        for pm in (np.array([1, 0, 2, 3]), np.array([1, 0, 2, 3], dtype=np.uint8), [1, 0, 2, 3]):
+            e = geodesic_error(pm, np.arange(4), tetra)
+            assert e[0] == pytest.approx(TETRA_SWAP_ERR, rel=1e-12)
 
     def test_soft_map_rejected(self, tetra):
-        pm = PointMap("soft", n_source=4, matrix=np.full((4, 4), 0.25))
         with pytest.raises(LengthMismatch):
-            geodesic_error(pm, np.arange(4), tetra)
+            geodesic_error(np.full((4, 4), 0.25), np.arange(4), tetra)
+        # nor any 2-D array: raveling would score a (2, 2) one as 4 entries
+        with pytest.raises(LengthMismatch):
+            geodesic_error(np.array([[1, 0], [2, 3]]), np.arange(4), tetra)
+
+    def test_float_prediction_rejected(self, tetra):
+        # int64 truncation would score gt + 0.9 as exact everywhere
+        with pytest.raises(LengthMismatch):
+            geodesic_error(np.arange(4) + 0.9, np.arange(4), tetra)
+        with pytest.raises(LengthMismatch):
+            geodesic_error(np.arange(4), np.arange(4.0), tetra)
 
     def test_length_mismatch(self, tetra):
         with pytest.raises(LengthMismatch):

@@ -15,12 +15,10 @@ from fmapkit import _blas, fmap
 from fmapkit._blas import single_threaded
 from fmapkit.errors import LengthMismatch, RankDeficient
 from fmapkit.fmap import (
-    PointMap,
     convert_adjoint,
     convert_feature_nn,
     grad_unsupervised,
     loss_properness,
-    loss_supervised,
     loss_unsupervised,
     nearest_rows,
     properness_project,
@@ -139,78 +137,87 @@ class TestNearestRows:
 
 
 class TestPointMap:
+    """Hard maps are (n2,) integer arrays, soft maps (n2, n1) arrays; the
+    private pull-back reads the kind from the array and checks it."""
+
     def test_hard_apply(self):
-        pm = PointMap("hard", n_source=4, indices=[2, 0, 3])
         vals = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(pm.apply(vals), vals[[2, 0, 3]])
-        assert pm.n_target == 3
+        assert np.array_equal(fmap._pull_back(np.array([2, 0, 3]), vals), vals[[2, 0, 3]])
+        assert np.array_equal(fmap._pull_back(np.array([2, 0, 3], dtype=np.int32), vals),
+                              vals[[2, 0, 3]])
 
     def test_soft_apply(self):
         m = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        pm = PointMap("soft", n_source=3, matrix=m)
         vals = np.array([[0.0], [2.0], [4.0]])
-        assert pm.apply(vals) == pytest.approx(np.array([[1.0], [4.0]]))
+        assert fmap._pull_back(m, vals) == pytest.approx(np.array([[1.0], [4.0]]))
 
     def test_hard_validation(self):
+        vals = np.zeros((3, 2))
         with pytest.raises(LengthMismatch):
-            PointMap("hard", n_source=3, indices=[0, 3])
+            fmap._pull_back(np.array([0, 3]), vals)
+        # numpy would wrap -1 to the last row
         with pytest.raises(LengthMismatch):
-            PointMap("hard", n_source=3, indices=[-1])
-        with pytest.raises(LengthMismatch):
-            PointMap("hard", n_source=3)
+            fmap._pull_back(np.array([-1]), vals)
 
     def test_soft_validation(self):
         with pytest.raises(LengthMismatch):
-            PointMap("soft", n_source=2, matrix=np.array([[0.7, 0.7]]))
+            fmap._pull_back(np.array([[0.7, 0.7]]), np.zeros(2))
         with pytest.raises(LengthMismatch):
-            PointMap("soft", n_source=2, matrix=np.array([[-0.5, 1.5]]))
+            fmap._pull_back(np.array([[-0.5, 1.5]]), np.zeros(2))
         with pytest.raises(LengthMismatch):
-            PointMap("soft", n_source=3, matrix=np.ones((2, 2)) / 2)
+            fmap._pull_back(np.ones((2, 2)) / 2, np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_soft_validation_rejects_non_finite_rows(self, bad):
         # every comparison with NaN is False, so only the row sums see it
+        vals = np.zeros((4, 2))
         with pytest.raises(LengthMismatch, match="finite"):
-            PointMap("soft", n_source=4, matrix=np.full((3, 4), bad))
+            fmap._pull_back(np.full((3, 4), bad), vals)
         m = np.full((3, 4), 0.25)
         m[1, 2] = bad
         with pytest.raises(LengthMismatch, match="finite"):
-            PointMap("soft", n_source=4, matrix=m)
+            fmap._pull_back(m, vals)
 
     def test_unknown_kind(self):
-        with pytest.raises(LengthMismatch):
-            PointMap("fuzzy", n_source=2, indices=[0])
+        # neither (n2,) integers nor (n2, n1): float, bool, 0-d and 3-d arrays
+        for pi in (np.array([0.0, 1.0]), np.array([True, False]), np.array(0),
+                   np.zeros((2, 2, 2))):
+            with pytest.raises(LengthMismatch):
+                fmap._pull_back(pi, np.zeros((2, 2)))
 
     def test_apply_size_check(self):
-        pm = PointMap("hard", n_source=4, indices=[0])
+        # the source size is the row count of the values pulled back
         with pytest.raises(LengthMismatch):
-            pm.apply(np.zeros((5, 2)))
+            fmap._pull_back(np.array([0, 4]), np.zeros((4, 2)))
+        with pytest.raises(LengthMismatch):
+            fmap._pull_back(np.full((1, 4), 0.25), np.zeros((5, 2)))
 
 
 class TestConversions:
     def test_adjoint_recovers_permutation(self, pair):
         pm = convert_adjoint(pair.C_gt, pair.basis1.phi, pair.basis2.phi)
-        assert np.array_equal(pm.indices, pair.perm)
+        assert pm.dtype == np.int64 and pm.shape == (642,)
+        assert np.array_equal(pm, pair.perm)
 
     def test_adjoint_matches_brute_force(self, pair):
         C = pair.C_gt[:10, :10]
         phi1 = pair.basis1.phi[:, :10]
         phi2 = pair.basis2.phi[:, :10]
         pm = convert_adjoint(C, phi1, phi2)
-        assert np.array_equal(pm.indices, orc.brute_nn(phi2 @ C, phi1))
+        assert np.array_equal(pm, orc.brute_nn(phi2 @ C, phi1))
 
     def test_feature_nn_recovers_permutation(self, pair, complete_features):
         F1, F2 = complete_features
         pm = convert_feature_nn(F1, F2)
-        assert np.array_equal(pm.indices, pair.perm)
+        assert np.array_equal(pm, pair.perm)
 
     def test_feature_nn_matches_brute_force(self):
         rng = np.random.default_rng(7)
         F1 = rng.standard_normal((150, 6))
         F2 = rng.standard_normal((80, 6))
         pm = convert_feature_nn(F1, F2)
-        assert np.array_equal(pm.indices, orc.brute_nn(F2, F1))
-        assert pm.n_source == 150 and pm.n_target == 80
+        assert np.array_equal(pm, orc.brute_nn(F2, F1))
+        assert pm.dtype == np.int64 and pm.shape == (80,)
 
 
 class TestSoftMap:
@@ -220,20 +227,21 @@ class TestSoftMap:
         G2 = rng.standard_normal((30, 4))
         pm = soft_map(G1, G2, tau=0.5)
         ref = orc.softmax_map_ref(G1, G2, 0.5)
-        assert pm.matrix == pytest.approx(ref, rel=1e-12)
+        assert pm.dtype == np.float64 and pm.shape == (30, 40)
+        assert pm == pytest.approx(ref, rel=1e-12)
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(9)
         pm = soft_map(rng.standard_normal((25, 3)), rng.standard_normal((35, 3)))
-        assert pm.matrix.sum(axis=1) == pytest.approx(np.ones(35), abs=1e-12)
-        assert np.all(pm.matrix >= 0)
+        assert pm.sum(axis=1) == pytest.approx(np.ones(35), abs=1e-12)
+        assert np.all(pm >= 0)
 
     def test_huge_similarities_stay_finite(self):
         G1 = 1e4 * np.eye(3)
         G2 = 1e4 * np.eye(3)[[2, 0]]
         pm = soft_map(G1, G2, tau=0.07)
-        assert np.isfinite(pm.matrix).all()
-        assert np.array_equal(pm.matrix.argmax(axis=1), [2, 0])
+        assert np.isfinite(pm).all()
+        assert np.array_equal(pm.argmax(axis=1), [2, 0])
 
     @pytest.mark.parametrize("tau", [1e-3, 0.07, 1.0])
     def test_equals_out_of_place_expression(self, pair, tau):
@@ -243,7 +251,7 @@ class TestSoftMap:
         with single_threaded():  # the same GEMM at the same thread count
             s = (G2 @ G1.T) / tau
         p = np.exp(s - s.max(1, keepdims=True))
-        assert np.array_equal(pm.matrix, p / p.sum(1, keepdims=True))
+        assert np.array_equal(pm, p / p.sum(1, keepdims=True))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_feature_row_raises(self, bad):
@@ -277,21 +285,19 @@ class TestSoftMap:
         G1 = rng.standard_normal((30, 4))
         G2 = rng.standard_normal((20, 4))
         pm = soft_map(G1, G2, tau=tau)
-        assert np.array_equal(pm.matrix.argmax(axis=1), (G2 @ G1.T).argmax(axis=1))
+        assert np.array_equal(pm.argmax(axis=1), (G2 @ G1.T).argmax(axis=1))
 
 
 class TestPropernessProjection:
     def test_hard_map_formula(self, pair):
-        pm = PointMap("hard", n_source=642,
-                      indices=np.random.default_rng(11).integers(0, 642, 642))
+        pm = np.random.default_rng(11).integers(0, 642, 642)
         C = properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
         manual = pair.basis2.phi.T @ (pair.lap2.mass[:, None]
-                                      * pair.basis1.phi[pm.indices])
+                                      * pair.basis1.phi[pm])
         assert np.array_equal(C, manual)
 
     def test_ground_truth_is_fixed_point(self, pair):
-        pm = PointMap("hard", n_source=642, indices=pair.perm)
-        C = properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+        C = properness_project(pair.perm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
         assert C == pytest.approx(pair.C_gt, abs=1e-14)
 
     def test_soft_limit_equals_hard(self, pair):
@@ -304,19 +310,44 @@ class TestPropernessProjection:
         assert C_soft == pytest.approx(C_hard, abs=1e-12)
 
     def test_size_mismatch(self, pair):
-        pm = PointMap("hard", n_source=642, indices=np.zeros(10, dtype=int))
+        pm = np.zeros(10, dtype=int)
         with pytest.raises(LengthMismatch):
+            properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+        with pytest.raises(LengthMismatch):
+            properness_project(np.full((642, 10), 0.1), pair.basis1.phi, pair.basis2.phi,
+                               pair.lap2.mass)
+
+    def test_negative_index_raises(self, pair):
+        pi = pair.perm.copy()
+        pi[7] = -1   # numpy would wrap it to the last row
+        with pytest.raises(LengthMismatch):
+            properness_project(pi, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+
+    @pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
+    def test_bad_soft_row_raises(self, pair, bad):
+        pm = soft_map(pair.basis1.phi, pair.basis2.phi, tau=1.0)
+        row = pm[_blas.ROW_BLOCK + 3]   # in the second row block
+        if bad == "nan":
+            row[5] = np.nan
+        elif bad == "negative":   # the row still sums to 1
+            row[6] += 2 * row[5]
+            row[5] = -row[5]
+        else:
+            row[5] += 1e-6
+        with pytest.raises(LengthMismatch, match="finite"):
             properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
 
 
 class TestLosses:
-    def test_supervised_zero_at_truth(self, pair):
-        assert loss_supervised(pair.C_gt, pair.C_gt) == 0.0
+    def test_properness_zero_at_fixed_point(self, pair):
+        assert loss_properness(pair.C_gt, pair.C_gt) == 0.0
 
-    def test_supervised_is_squared_frobenius(self):
+    def test_properness_is_squared_frobenius(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.zeros((2, 2))
-        assert loss_supervised(a, b) == pytest.approx(30.0)
+        assert loss_properness(a, b) == pytest.approx(30.0)
+        with pytest.raises(LengthMismatch):
+            loss_properness(a, np.zeros((2, 3)))
 
     def test_properness_matches_supervised_form(self):
         rng = np.random.default_rng(12)

@@ -49,15 +49,15 @@ class TestRefineProper:
     def test_noisy_start_recovers_ground_truth(self, pair, noisy_start):
         C0 = noisy_start
         init = geodesic_error(
-            convert_adjoint(C0, pair.basis1.phi, pair.basis2.phi).indices,
+            convert_adjoint(C0, pair.basis1.phi, pair.basis2.phi),
             pair.perm, pair.mesh1,
         ).mean()
         C, _ = refine_proper(C0, pair.basis1, pair.basis2, iters=10)
         pm = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
-        final = geodesic_error(pm.indices, pair.perm, pair.mesh1).mean()
+        final = geodesic_error(pm, pair.perm, pair.mesh1).mean()
         assert init == pytest.approx(0.4589985631962465, rel=1e-12)
         assert final == 0.0
-        assert np.array_equal(pm.indices, pair.perm)
+        assert np.array_equal(pm, pair.perm)
 
     def test_proper_map_is_fixed_point_at_small_tau(self, pair):
         # tau small enough that the soft map is numerically one-hot
@@ -72,7 +72,7 @@ class TestRefineProper:
                                  mode="feature", F1=F1, F2=F2, tau=1e-4)
         assert len(trace) == 2  # one projection, then a fixed point
         pm = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
-        assert np.array_equal(pm.indices, pair.perm)
+        assert np.array_equal(pm, pair.perm)
 
     @pytest.mark.parametrize("iters", [1, 10])
     def test_feature_mode_builds_one_soft_map(self, pair, complete_features,

@@ -35,7 +35,8 @@ wrapped entry point named first:
 
 * spectral.eigenbasis: scipy's LAPACK `dsyevd`, in place (dense branch);
   `eigsh` with its sparse LU (sparse branch)
-* spectral.SpectralBasis.project: `phi.T @ (m * f)`
+* spectral.SpectralBasis.project: `phi.T @ (m * f)`; properness_project
+  and adjoint refine call it
 * spectral.SpectralBasis.reconstruct: `phi @ a`
 * fmap.solve_fmap: the two Gram products, `eigvalsh`, `solve`
 * fmap.convert_adjoint: `phi2 @ C`
@@ -44,7 +45,6 @@ wrapped entry point named first:
 * fmap._pull_back: `matrix @ values` (soft maps), per row block;
   properness_project, diagnostics.energy_terms and
   diagnostics.measure_basis_aligning call it
-* fmap.properness_project: `phi2.T @ (m2 * pulled)`
 * fmap.loss_unsupervised, fmap.grad_unsupervised: k x k products
 * diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot);
   the report and the oracle also call it
@@ -52,14 +52,14 @@ wrapped entry point named first:
   also calls
 * diagnostics.theorem_oracle: `lstsq`, `c_opt @ a1`, `phi2 @ c_opt`, `norm`
 * synth.icosphere: 3-vector `norm` (ddot)
-* refine.refine_proper: `phi2 @ C`, the fused per-block pull-back
-  `fmap._soft_apply` and `phi2.T @ (m2 * pulled)` (adjoint mode), and the
-  fmap calls
+* refine.refine_proper: `phi2 @ C` and the fused per-block pull-back
+  `fmap._soft_apply` (adjoint mode), and the calls above
 * refine.refine_gradient, diagnostics.build_structure_report: only the
   calls above, wrapped once so that a whole run switches the count once
 
 `row_blocks` also runs the soft-map row checks and the `cdist` +
-`argmin` of `fmap.nearest_rows` (wrapped only to read the caller's count).
+`argmin` of `fmap.nearest_rows` (wrapped only to read the caller's count),
+and hands each worker its own scratch buffer.
 
 Everything else in the package (einsum without `optimize`, norms along an
 axis, `cdist`, `cKDTree`, sparse products, Dijkstra) does not reach BLAS.
@@ -74,6 +74,8 @@ import os
 import queue
 import threading
 from contextlib import contextmanager
+
+import numpy as np
 
 # (getter, setter) symbol names, one pair per OpenBLAS build flavour
 _SYMBOLS = (
@@ -174,10 +176,13 @@ def workers(n: int) -> int:
 
 
 @single_threaded()
-def row_blocks(fn, n: int) -> None:
-    """Call fn(a, b) for each block [a, b) of ROW_BLOCK rows of range(n).
+def row_blocks(fn, n: int, cols: int = 0) -> None:
+    """Call fn(a, b, buf) for each block [a, b) of ROW_BLOCK rows of range(n).
 
-    fn must write only rows [a, b) of its outputs. The blocks run on
+    fn must write only rows [a, b) of its outputs. buf is None when cols is
+    0, else a (b - a, cols) view of the running worker's own float64 buffer,
+    allocated on the caller's thread (one allocated by a worker would stay
+    in glibc's per-thread arena and raise the peak RSS). The blocks run on
     `workers(n)` threads, the caller's among them, the others in copies of
     the caller's context (so numpy's `errstate` holds); all have ended when
     this returns. The first exception stops the blocks not yet started and
@@ -188,21 +193,24 @@ def row_blocks(fn, n: int) -> None:
         todo.put((a, min(a + ROW_BLOCK, n)))
     failed = []
 
-    def work():
+    def work(buf):
         try:
             while not failed:
-                fn(*todo.get_nowait())
+                a, b = todo.get_nowait()
+                fn(a, b, None if buf is None else buf[:b - a])
         except queue.Empty:
             pass
         except BaseException as exc:
             failed.append(exc)
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-               for _ in range(workers(n) - 1)]
+    bufs = [np.empty((min(ROW_BLOCK, n), cols)) if cols else None
+            for _ in range(workers(n))]
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, buf))
+               for buf in bufs[1:]]
     for t in helpers:
         t.start()
     try:
-        work()
+        work(bufs[0])
     finally:
         for t in helpers:
             t.join()

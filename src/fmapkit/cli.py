@@ -238,9 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, **no_defaults)
     shared.add_argument("--src", required=True, help="source mesh (the map points INTO it)")
     shared.add_argument("--dst", required=True, help="target mesh (one map entry per vertex)")
-    shared.add_argument("--k", type=int, help="spectral basis size")
+    shared.add_argument("--k", type=_POSITIVE_INT, help="spectral basis size")
     shared.add_argument("--desc", choices=DESC_CHOICES, help="descriptor family")
-    shared.add_argument("--smooth-j", type=int,
+    shared.add_argument("--smooth-j", type=_POSITIVE_INT,
                         help="smoothing basis size (clamped to the vertex count)")
     shared.add_argument("--smooth-t", type=_NONNEG, help="smoothing diffusion time")
     shared.add_argument("--mu", type=_NONNEG, help="commutativity regularizer weight")

@@ -133,8 +133,6 @@ def project_coeffs(basis: SpectralBasis, features) -> np.ndarray:
     values = np.asarray(features)
     if values.ndim != 2:
         raise LengthMismatch(f"expected (n, d) features, got shape {values.shape}")
-    if values.shape[0] != basis.n:
-        raise LengthMismatch(f"{values.shape[0]} feature rows for {basis.n} vertices")
     return basis.project(values)
 
 

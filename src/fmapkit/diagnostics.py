@@ -31,6 +31,7 @@ from .spectral import SpectralBasis
 
 ORACLE_TOL = 1e-8
 _KD_LEAFSIZE = 16   # cKDTree's default; tests shrink it to grow deep trees
+N_PROBE_MAPS = 10   # random hard maps the oracle checks the energy identity on
 
 
 def measure_completeness(basis: SpectralBasis, features) -> float:
@@ -40,45 +41,39 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
     it. Raises ZeroFeatures for an identically zero stack.
     """
     values = _feature_values(features)
-    if values.shape[0] != basis.n:
-        raise LengthMismatch(f"{values.shape[0]} rows for {basis.n} vertices")
-    mass = basis.mass
-    den = float(np.einsum("n,nd->", mass, values ** 2))
+    resid = values - basis.reconstruct(basis.project(values))
+    den = float(np.einsum("n,nd->", basis.mass, values ** 2))
     if den == 0.0:
         raise ZeroFeatures("completeness is undefined for an all-zero stack")
-    resid = values - basis.reconstruct(basis.project(values))
-    num = float(np.einsum("n,nd->", mass, resid ** 2))
+    num = float(np.einsum("n,nd->", basis.mass, resid ** 2))
     return float(min(1.0, max(0.0, 1.0 - num / den)))
 
 
-def measure_properness(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                       mass2: np.ndarray, adjoint: np.ndarray | None = None) -> float:
+def measure_properness(C: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
+                       adjoint: np.ndarray | None = None) -> float:
     """||C - C_proper||_F^2 with C_proper built from C's own adjoint map.
 
-    A caller that holds that map, convert_adjoint(C, phi1, phi2), passes it
-    as `adjoint`; the value is the same either way.
+    A caller that holds that map, convert_adjoint(C, basis1.phi, basis2.phi),
+    passes it as `adjoint`; the value is the same either way.
     """
     if adjoint is None:
-        adjoint = convert_adjoint(C, phi1, phi2)
-    return loss_properness(C, properness_project(adjoint, phi1, phi2, mass2))
+        adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
+    return loss_properness(C, properness_project(adjoint, basis1, basis2))
 
 
 @single_threaded()
-def measure_basis_aligning(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+def measure_basis_aligning(C: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
                            adjoint: np.ndarray | None = None) -> float:
     """One-way chamfer ||Phi2 C - Pi Phi1||_F for the nearest-row map Pi.
 
     Pi is C's adjoint map; `adjoint` passes it as in measure_properness.
     """
-    C = np.asarray(C, dtype=np.float64)
-    phi1 = np.asarray(phi1, dtype=np.float64)
-    phi2 = np.asarray(phi2, dtype=np.float64)
     if adjoint is None:
-        adjoint = convert_adjoint(C, phi1, phi2)
-    pulled = _pull_back(adjoint, phi1)
-    if len(pulled) != len(phi2):   # a one-row map would broadcast against Phi2 C
-        raise LengthMismatch(f"a map of {len(pulled)} rows for {len(phi2)} rows of phi2")
-    return float(np.linalg.norm(phi2 @ C - pulled))
+        adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
+    pulled = _pull_back(adjoint, basis1.phi)
+    if len(pulled) != basis2.n:   # a one-row map would broadcast against Phi2 C
+        raise LengthMismatch(f"a map of {len(pulled)} rows for {basis2.n} rows of phi2")
+    return float(np.linalg.norm(basis2.phi @ C - pulled))
 
 
 def _rank(x) -> int:
@@ -232,7 +227,7 @@ class OracleVerdict:
 
 @single_threaded()
 def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
-                   n_probe_maps: int = 10, seed: int = 0) -> OracleVerdict:
+                   seed: int = 0) -> OracleVerdict:
     """Measure every hypothesis and consequence of exact recovery.
 
     C_opt is the minimum-norm least-squares solution of C A1 = A2 (computed
@@ -255,7 +250,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     resid = float(np.linalg.norm(c_opt @ a1 - a2)) / max(1.0, float(np.linalg.norm(a2)))
     adj = convert_adjoint(c_opt, basis1.phi, basis2.phi)
     emb = basis2.phi @ c_opt
-    align = measure_basis_aligning(c_opt, basis1.phi, basis2.phi, adj) \
+    align = measure_basis_aligning(c_opt, basis1, basis2, adj) \
         / max(1.0, float(np.linalg.norm(emb)))
 
     nn = convert_feature_nn(v1, v2)
@@ -263,7 +258,7 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_probe_maps):
+    for _ in range(N_PROBE_MAPS):
         probe = rng.integers(0, basis1.n, size=basis2.n)
         e, e1, e2 = energy_terms(probe, v1, v2, basis2)
         worst = max(worst, abs(e - (e1 + e2)) / max(1.0, e))
@@ -318,9 +313,8 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
     return StructureReport(
         completeness=comp,
-        properness_residual=measure_properness(C, basis1.phi, basis2.phi, basis2.mass,
-                                               adjoint),
-        basis_align_chamfer=measure_basis_aligning(C, basis1.phi, basis2.phi, adjoint),
+        properness_residual=measure_properness(C, basis1, basis2, adjoint),
+        basis_align_chamfer=measure_basis_aligning(C, basis1, basis2, adjoint),
         rank_F=rank_f,
         rank_A=rank_a,
         nn_distinctness=nn_distinctness(v1),

@@ -12,12 +12,12 @@ Direction bookkeeping, fixed package-wide:
 
 from __future__ import annotations
 
-import queue
 import numpy as np
 
 from . import _blas
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
+from .spectral import SpectralBasis
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -41,25 +41,6 @@ def _check_rows(rows: np.ndarray) -> None:
         raise LengthMismatch(
             "soft map rows must be finite, non-negative and sum to 1"
         )
-
-
-def _buffered_blocks(fn, n: int, cols: int) -> None:
-    """`_blas.row_blocks` over n rows, calling fn(a, b, buf) with a (b - a, cols) buffer.
-
-    Each worker reuses one buffer. They are allocated here, on the caller's
-    thread: buffers allocated by the workers stay in glibc's per-thread
-    arenas and raise the peak RSS. Call it inside `single_threaded`.
-    """
-    buffers = queue.SimpleQueue()
-    for _ in range(_blas.workers(n)):
-        buffers.put(np.empty((min(_blas.ROW_BLOCK, n), cols)))
-
-    def block(a, b):
-        buf = buffers.get()
-        fn(a, b, buf[:b - a])
-        buffers.put(buf)
-
-    _blas.row_blocks(block, n)
 
 
 def _feature_values(f) -> np.ndarray:
@@ -126,7 +107,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     Squared Euclidean metric, computed coordinate-difference-wise (so values
     agree bit for bit with a naive double loop); ties resolve to the lowest
     index. Runs on the row blocks of `_blas.row_blocks`, so it holds one
-    (ROW_BLOCK, len(points)) distance block per worker (`_buffered_blocks`).
+    (ROW_BLOCK, len(points)) distance block per worker.
     """
     from scipy.spatial.distance import cdist   # here, so `eval` never loads scipy.spatial
     queries = np.asarray(queries, dtype=np.float64)
@@ -141,7 +122,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         d = cdist(queries[a:b], points, metric="sqeuclidean", out=buf)
         idx[a:b] = np.argmin(d, axis=1)
 
-    _buffered_blocks(block, len(queries), len(points))
+    _blas.row_blocks(block, len(queries), len(points))
     return idx
 
 
@@ -210,7 +191,7 @@ def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> np.ndarray:
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
     p = np.empty((len(v2), len(v1)))
-    _blas.row_blocks(lambda a, b: _check_rows(_soft_rows(v1, v2[a:b], tau, p[a:b])),
+    _blas.row_blocks(lambda a, b, _: _check_rows(_soft_rows(v1, v2[a:b], tau, p[a:b])),
                      len(v2))
     return p
 
@@ -237,7 +218,7 @@ def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
         _check_rows(rows)
         np.matmul(rows, values, out=out[a:b])
 
-    _buffered_blocks(block, len(v2), len(v1))
+    _blas.row_blocks(block, len(v2), len(v1))
     return out
 
 
@@ -264,7 +245,7 @@ def _pull_back(pi, values) -> np.ndarray:
     pi = np.asarray(pi, dtype=np.float64)
     out = np.empty((len(pi),) + values.shape[1:])
 
-    def block(a, b):
+    def block(a, b, _):
         _check_rows(pi[a:b])
         np.matmul(pi[a:b], values, out=out[a:b])
 
@@ -272,20 +253,10 @@ def _pull_back(pi, values) -> np.ndarray:
     return out
 
 
-def _project(pulled: np.ndarray, phi2, mass2) -> np.ndarray:
-    """C = Phi2^T M2 pulled, for pulled = Pi Phi1."""
-    phi2 = np.asarray(phi2, dtype=np.float64)
-    mass2 = np.asarray(mass2, dtype=np.float64).ravel()
-    if pulled.shape[0] != phi2.shape[0] or mass2.size != phi2.shape[0]:
-        raise LengthMismatch("point map target size does not match phi2/mass2")
-    return phi2.T @ (mass2[:, None] * pulled)
-
-
 @single_threaded()
-def properness_project(pi: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                       mass2: np.ndarray) -> np.ndarray:
+def properness_project(pi, basis1: SpectralBasis, basis2: SpectralBasis) -> np.ndarray:
     """Proper functional map of a hard or soft map: C = Phi2^T M2 (Pi Phi1)."""
-    return _project(_pull_back(pi, phi1), phi2, mass2)
+    return basis2.project(_pull_back(pi, basis1.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ._blas import single_threaded
 from .errors import MissingFeatures, NonFiniteEnergy
 from .fmap import (
     DEFAULT_TAU,
-    _project,
     _soft_apply,
     grad_unsupervised,
     loss_properness,
@@ -52,8 +51,8 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     Phi1 back through one row block of the soft map at a time
     (`fmap._soft_apply`), so it holds O(workers * ROW_BLOCK * n1) bytes
     plus a few (n2, k) arrays, with the bits of
-    properness_project(soft_map(Phi1, Phi2 C), Phi1, Phi2, M2). Feature mode
-    builds its one soft map whole.
+    properness_project(soft_map(Phi1, Phi2 C), basis1, basis2). Feature
+    mode builds its one soft map whole.
     """
     if mode not in ("adjoint", "feature"):
         raise ValueError(f"unknown refine mode {mode!r}")
@@ -62,14 +61,13 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     C = np.asarray(C0, dtype=np.float64).copy()
-    phi1, phi2, mass2 = basis1.phi, basis2.phi, basis2.mass
     if mode == "feature":
-        C_next = properness_project(soft_map(F1, F2, tau), phi1, phi2, mass2)
+        C_next = properness_project(soft_map(F1, F2, tau), basis1, basis2)
         r = loss_properness(C, C_next)
         return C_next, np.asarray([r] if iters == 1 or r < RESIDUAL_EPS else [r, 0.0])
     trace = []
     for i in range(iters):
-        C_next = _project(_soft_apply(phi1, phi2 @ C, phi1, tau), phi2, mass2)
+        C_next = basis2.project(_soft_apply(basis1.phi, basis2.phi @ C, basis1.phi, tau))
         r = loss_properness(C, C_next)
         trace.append(r)
         C = C_next

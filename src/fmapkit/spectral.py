@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._blas import single_threaded
-from .errors import InvalidK, SolverFailure
+from .errors import InvalidK, LengthMismatch, SolverFailure
 from .mesh import TriMesh
 
 # cot of angles is clamped to +-cot(1e-6 rad): slivers below the mesh area
@@ -147,8 +147,10 @@ class SpectralBasis:
 
     @single_threaded()
     def project(self, f: np.ndarray) -> np.ndarray:
-        """Coefficients Phi^T M f; f is (n,) or (n, d)."""
+        """Coefficients Phi^T M f; f is (n,) or (n, d), else LengthMismatch."""
         f = np.asarray(f, dtype=np.float64)
+        if f.ndim not in (1, 2) or len(f) != self.n:
+            raise LengthMismatch(f"expected ({self.n},) or ({self.n}, d), got {f.shape}")
         return self.phi.T @ (self.mass[:, None] * f if f.ndim == 2 else self.mass * f)
 
     @single_threaded()

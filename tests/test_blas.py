@@ -198,7 +198,7 @@ def test_blocks_run_on_the_callers_thread_count(blas_threads):
     first_three = threading.Barrier(3, timeout=10)
     seen = set()
 
-    def block(a, b):
+    def block(a, b, buf):
         if a < 3 * _blas.ROW_BLOCK:
             first_three.wait()
         seen.add(threading.get_ident())
@@ -212,7 +212,7 @@ def test_blocks_run_under_the_callers_errstate(two_threads):
     both_in = threading.Barrier(2, timeout=10)
     seen = []
 
-    def block(a, b):
+    def block(a, b, buf):
         if a < 2 * _blas.ROW_BLOCK:
             both_in.wait()
         seen.append((threading.get_ident(), np.geterr()["invalid"]))
@@ -233,7 +233,7 @@ def test_every_block_runs_once_under_stress(blas_threads, monkeypatch):
     points, queries = rng.standard_normal((30, 3)), rng.standard_normal((600, 3))
     hits = np.zeros(600, dtype=np.int64)
 
-    def block(a, b):
+    def block(a, b, buf):
         hits[a:b] += 1
 
     interval = sys.getswitchinterval()
@@ -245,6 +245,30 @@ def test_every_block_runs_once_under_stress(blas_threads, monkeypatch):
         sys.setswitchinterval(interval)
     assert np.array_equal(hits, np.ones(600, dtype=np.int64))
     assert np.array_equal(idx, np.argmin(cdist(queries, points, "sqeuclidean"), axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 5 * _blas.ROW_BLOCK + 3])
+def test_each_worker_reuses_its_own_scratch(blas_threads, n):
+    blas_threads(3)
+    seen = []   # (thread, buffer base, a, b, view), the bases kept alive
+
+    def block(a, b, buf):
+        seen.append((threading.get_ident(), buf.base, a, b, buf))
+
+    _blas.row_blocks(block, n, 4)
+    with _blas.single_threaded():
+        count = _blas.workers(n)
+    for _, base, a, b, buf in seen:
+        assert base is not None and buf.dtype == np.float64 and buf.shape == (b - a, 4)
+    bases = {id(base) for _, base, _, _, _ in seen}
+    assert len(bases) <= count
+    owner = {}
+    for ident, base, _, _, _ in seen:
+        assert owner.setdefault(id(base), ident) == ident   # one worker per buffer
+    assert len({ident for ident, _, _, _, _ in seen}) == len(bases)   # one buffer per worker
+    given = []
+    _blas.row_blocks(lambda a, b, buf: given.append(buf), n)
+    assert given and all(buf is None for buf in given)
 
 
 def test_one_worker_without_a_controlled_library(monkeypatch):
@@ -278,7 +302,7 @@ def test_worker_exception_reaches_the_caller(two_threads):
     caller = threading.get_ident()
     both_in = threading.Barrier(2, timeout=10)
 
-    def block(a, b):
+    def block(a, b, buf):
         if a < 2 * _blas.ROW_BLOCK:
             both_in.wait()
         if threading.get_ident() != caller:
@@ -307,8 +331,7 @@ def test_no_thread_outlives_a_call(two_threads, tmp_path):
         "nearest_rows": lambda: fmap.nearest_rows(basis2.phi, basis1.phi),
         "convert_adjoint": lambda: fmap.convert_adjoint(C, basis1.phi, basis2.phi),
         "convert_feature_nn": lambda: fmap.convert_feature_nn(basis1.phi, basis2.phi),
-        "properness_project": lambda: fmap.properness_project(pi, basis1.phi, basis2.phi,
-                                                              basis2.mass),
+        "properness_project": lambda: fmap.properness_project(pi, basis1, basis2),
         "refine_proper": lambda: refine.refine_proper(C, basis1, basis2, iters=3),
         "match": lambda: cli.main(["match", *argv, "--out", str(tmp_path / "map.txt"),
                                    "--refine", "proper-adjoint"]),
@@ -340,7 +363,7 @@ mesh1 = synth.bumpy_sphere(3)
 mesh2, perm = synth.permuted_copy(mesh1, seed=11)
 lap1, lap2 = build_laplacian(mesh1), build_laplacian(mesh2)
 basis1, basis2 = eigenbasis(lap1, 30), eigenbasis(lap2, 30)
-C_gt = properness_project(perm, basis1.phi, basis2.phi, lap2.mass)
+C_gt = properness_project(perm, basis1, basis2)
 C0 = C_gt + 0.1 * np.random.default_rng(17).standard_normal((30, 30))
 _, trace = refine_proper(C0, basis1, basis2, iters=10)
 print(repr(trace.tolist()))

@@ -295,6 +295,9 @@ class TestExitCodes:
         ("match", ["--landmark-t", "-1", "--landmarks", "lm.txt"]),
         ("diagnose", ["--noise", "-1"]),
         ("diagnose", ["--seed", "-1"]),
+        ("match", ["--k", "0"]),
+        ("match", ["--smooth-j", "0"]),
+        ("diagnose", ["--k", "-1"]),
     ])
     def test_out_of_range_value_is_usage_error(self, small_pair, tmp_path, capsys,
                                                command, flags):

@@ -79,18 +79,16 @@ class TestCompleteness:
 
 class TestPointwiseMeasures:
     def test_properness_zero_at_proper_map(self, pair):
-        val = measure_properness(pair.C_gt, pair.basis1.phi, pair.basis2.phi,
-                                 pair.lap2.mass)
+        val = measure_properness(pair.C_gt, pair.basis1, pair.basis2)
         assert val == pytest.approx(0.0, abs=1e-20)
 
     def test_properness_positive_off_manifold(self, pair):
         noisy = pair.C_gt + 0.3 * np.random.default_rng(0).standard_normal((30, 30))
-        val = measure_properness(noisy, pair.basis1.phi, pair.basis2.phi,
-                                 pair.lap2.mass)
+        val = measure_properness(noisy, pair.basis1, pair.basis2)
         assert val > 1e-3
 
     def test_basis_aligning_zero_at_truth(self, pair):
-        val = measure_basis_aligning(pair.C_gt, pair.basis1.phi, pair.basis2.phi)
+        val = measure_basis_aligning(pair.C_gt, pair.basis1, pair.basis2)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_basis_aligning_matches_manual_chamfer(self, pair):
@@ -100,28 +98,28 @@ class TestPointwiseMeasures:
         pi = convert_adjoint(C, pair.basis1.phi, pair.basis2.phi)
         manual = float(np.linalg.norm(pair.basis2.phi @ C
                                       - pair.basis1.phi[pi]))
-        assert measure_basis_aligning(C, pair.basis1.phi, pair.basis2.phi) \
+        assert measure_basis_aligning(C, pair.basis1, pair.basis2) \
             == pytest.approx(manual, rel=1e-12)
 
     def test_given_adjoint_map_gives_the_same_values(self, pair):
         C = pair.C_gt + 0.05 * np.random.default_rng(3).standard_normal((30, 30))
-        phi1, phi2, mass2 = pair.basis1.phi, pair.basis2.phi, pair.lap2.mass
-        pm = convert_adjoint(C, phi1, phi2)
-        assert measure_properness(C, phi1, phi2, mass2, adjoint=pm) \
-            == measure_properness(C, phi1, phi2, mass2)
-        assert measure_basis_aligning(C, phi1, phi2, adjoint=pm) \
-            == measure_basis_aligning(C, phi1, phi2)
+        basis1, basis2 = pair.basis1, pair.basis2
+        pm = convert_adjoint(C, basis1.phi, basis2.phi)
+        assert measure_properness(C, basis1, basis2, adjoint=pm) \
+            == measure_properness(C, basis1, basis2)
+        assert measure_basis_aligning(C, basis1, basis2, adjoint=pm) \
+            == measure_basis_aligning(C, basis1, basis2)
 
     def test_given_adjoint_map_must_fit(self, pair):
-        phi1, phi2, mass2 = pair.basis1.phi, pair.basis2.phi, pair.lap2.mass
+        basis1, basis2 = pair.basis1, pair.basis2
         negative = pair.perm.copy()
         negative[0] = -1   # numpy would wrap it to the last row
         # one row would broadcast against Phi2 C
         for pm in (pair.perm[:1], negative):
             with pytest.raises(LengthMismatch):
-                measure_basis_aligning(pair.C_gt, phi1, phi2, adjoint=pm)
+                measure_basis_aligning(pair.C_gt, basis1, basis2, adjoint=pm)
             with pytest.raises(LengthMismatch):
-                measure_properness(pair.C_gt, phi1, phi2, mass2, adjoint=pm)
+                measure_properness(pair.C_gt, basis1, basis2, adjoint=pm)
 
 
 class TestRankAndDistinctness:
@@ -335,10 +333,8 @@ class TestStructureReport:
         assert given.to_text() == own.to_text()
         build_structure_report(C, pair.basis1, pair.basis2, F1, F2n)
         assert len(calls) == 1  # one map for both measures
-        assert own.properness_residual == measure_properness(
-            C, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
-        assert own.basis_align_chamfer == measure_basis_aligning(
-            C, pair.basis1.phi, pair.basis2.phi)
+        assert own.properness_residual == measure_properness(C, pair.basis1, pair.basis2)
+        assert own.basis_align_chamfer == measure_basis_aligning(C, pair.basis1, pair.basis2)
 
 
 class TestVerdictDataclass:

@@ -291,37 +291,34 @@ class TestSoftMap:
 class TestPropernessProjection:
     def test_hard_map_formula(self, pair):
         pm = np.random.default_rng(11).integers(0, 642, 642)
-        C = properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+        C = properness_project(pm, pair.basis1, pair.basis2)
         manual = pair.basis2.phi.T @ (pair.lap2.mass[:, None]
                                       * pair.basis1.phi[pm])
         assert np.array_equal(C, manual)
 
     def test_ground_truth_is_fixed_point(self, pair):
-        C = properness_project(pair.perm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+        C = properness_project(pair.perm, pair.basis1, pair.basis2)
         assert C == pytest.approx(pair.C_gt, abs=1e-14)
 
     def test_soft_limit_equals_hard(self, pair):
         pm_hard = convert_adjoint(pair.C_gt, pair.basis1.phi, pair.basis2.phi)
-        C_hard = properness_project(pm_hard, pair.basis1.phi, pair.basis2.phi,
-                                    pair.lap2.mass)
+        C_hard = properness_project(pm_hard, pair.basis1, pair.basis2)
         pm_soft = soft_map(pair.basis1.phi, pair.basis2.phi @ pair.C_gt, tau=1e-4)
-        C_soft = properness_project(pm_soft, pair.basis1.phi, pair.basis2.phi,
-                                    pair.lap2.mass)
+        C_soft = properness_project(pm_soft, pair.basis1, pair.basis2)
         assert C_soft == pytest.approx(C_hard, abs=1e-12)
 
     def test_size_mismatch(self, pair):
         pm = np.zeros(10, dtype=int)
         with pytest.raises(LengthMismatch):
-            properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+            properness_project(pm, pair.basis1, pair.basis2)
         with pytest.raises(LengthMismatch):
-            properness_project(np.full((642, 10), 0.1), pair.basis1.phi, pair.basis2.phi,
-                               pair.lap2.mass)
+            properness_project(np.full((642, 10), 0.1), pair.basis1, pair.basis2)
 
     def test_negative_index_raises(self, pair):
         pi = pair.perm.copy()
         pi[7] = -1   # numpy would wrap it to the last row
         with pytest.raises(LengthMismatch):
-            properness_project(pi, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+            properness_project(pi, pair.basis1, pair.basis2)
 
     @pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
     def test_bad_soft_row_raises(self, pair, bad):
@@ -335,7 +332,7 @@ class TestPropernessProjection:
         else:
             row[5] += 1e-6
         with pytest.raises(LengthMismatch, match="finite"):
-            properness_project(pm, pair.basis1.phi, pair.basis2.phi, pair.lap2.mass)
+            properness_project(pm, pair.basis1, pair.basis2)
 
 
 class TestLosses:

@@ -90,8 +90,7 @@ class TestRefineProper:
         # the second iterate rebuilds the same soft map: residual exactly 0.0
         assert trace.tolist() == [29.36850892094038, 0.0][:iters]
         assert len(calls) == 1
-        C_ref = properness_project(soft_map(F1, F2), pair.basis1.phi,
-                                   pair.basis2.phi, pair.lap2.mass)
+        C_ref = properness_project(soft_map(F1, F2), pair.basis1, pair.basis2)
         assert np.array_equal(C, C_ref)
         # restarting at the fixed point stops on the first residual
         C_again, trace = refine_proper(C, pair.basis1, pair.basis2, iters=iters,
@@ -106,8 +105,8 @@ class TestRefineProper:
             monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
         phi1, phi2 = pair.basis1.phi, pair.basis2.phi
         C, _ = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=1)
-        C_ref = properness_project(soft_map(phi1, phi2 @ noisy_start), phi1, phi2,
-                                   pair.lap2.mass)
+        C_ref = properness_project(soft_map(phi1, phi2 @ noisy_start), pair.basis1,
+                                   pair.basis2)
         assert np.array_equal(C, C_ref)
 
     def test_holds_one_soft_map_at_a_time(self, pair, noisy_start, monkeypatch):

@@ -19,7 +19,9 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import oracles as orc
 from fmapkit import spectral, synth
 from fmapkit._blas import single_threaded
-from fmapkit.errors import InvalidK, SolverFailure
+from fmapkit.descriptors import project_coeffs
+from fmapkit.diagnostics import measure_completeness
+from fmapkit.errors import InvalidK, LengthMismatch, SolverFailure
 from fmapkit.mesh import TriMesh
 from fmapkit.spectral import (
     LaplacianPair,
@@ -180,6 +182,22 @@ class TestEigenbasis:
         rng = np.random.default_rng(0)
         F = rng.standard_normal((162, 5))
         assert basis.project(F).shape == (6, 5)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (161,), (162, 3, 1)])
+    def test_project_rejects_other_shapes(self, ico162, shape):
+        # a one-row stack would broadcast against the mass: a (10, 3)
+        # projection and a (162, 3) diffusion of a single row
+        basis = eigenbasis(build_laplacian(ico162), 10)
+        with pytest.raises(LengthMismatch, match=r"expected \(162,\) or \(162, d\)"):
+            basis.project(np.ones(shape))
+        with pytest.raises(LengthMismatch):
+            diffuse(basis, np.ones(shape), 0.1)
+
+    @pytest.mark.parametrize("measure", [project_coeffs, measure_completeness])
+    def test_row_count_is_checked_by_the_basis(self, ico162, measure):
+        basis = eigenbasis(build_laplacian(ico162), 10)
+        with pytest.raises(LengthMismatch, match=r"expected \(162,\) or \(162, d\)"):
+            measure(basis, np.ones((161, 2)))
 
 
 def _numpy_dense_eigs(lap):

@@ -17,7 +17,6 @@ from .errors import (
     InvalidK,
     LengthMismatch,
     MissingFeatures,
-    NonFiniteEnergy,
     ParseError,
     RankDeficient,
     SolverFailure,
@@ -27,10 +26,8 @@ from .mesh import (
     TriMesh,
     graph_geodesics,
     load_correspondence,
-    load_matrix,
     load_mesh,
     save_correspondence,
-    save_matrix,
     save_mesh,
 )
 from .spectral import (
@@ -76,7 +73,7 @@ from .diagnostics import (
     rank_report,
     theorem_oracle,
 )
-from .refine import refine_gradient, refine_proper, write_trace
+from .refine import refine_proper, write_trace
 from .evaluate import accuracy_curve, geodesic_error, write_error_report
 
 __version__ = "0.1.0"

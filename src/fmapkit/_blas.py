@@ -54,8 +54,8 @@ wrapped entry point named first:
 * synth.icosphere: 3-vector `norm` (ddot)
 * refine.refine_proper: `phi2 @ C` and the fused per-block pull-back
   `fmap._soft_apply` (adjoint mode), and the calls above
-* refine.refine_gradient, diagnostics.build_structure_report: only the
-  calls above, wrapped once so that a whole run switches the count once
+* diagnostics.build_structure_report: only the calls above, wrapped once
+  so that a whole run switches the count once
 
 `row_blocks` also runs the soft-map row checks and the `cdist` +
 `argmin` of `fmap.nearest_rows` (wrapped only to read the caller's count),

@@ -87,7 +87,7 @@ class DiagnoseConfig(_PairConfig):
 
 def load_landmark_pairs(path):
     """Landmark file: one 'i j' pair per line (src index, dst index)."""
-    pairs = read_table(path, "landmark", dtype=int, width=2)
+    pairs = read_table(path, "landmark", width=2)
     return pairs[:, 0].tolist(), pairs[:, 1].tolist()
 
 
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         return 2
     except FmapError as exc:
         print(f"fmapkit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"fmapkit: out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

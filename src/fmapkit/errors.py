@@ -53,7 +53,3 @@ class ZeroFeatures(FmapError):
 
 class RankDeficient(FmapError):
     """Unregularized map estimation hit a singular descriptor Gram matrix."""
-
-
-class NonFiniteEnergy(FmapError):
-    """An optimization energy evaluated to NaN or infinity."""

@@ -4,12 +4,12 @@ A mesh is vertices (n, 3) float64 plus triangles (m, 3) int64. Construction
 validates index ranges and rejects geometrically degenerate input; everything
 downstream (mass matrices, geodesics) relies on those guarantees.
 
-Meshes are ASCII only: OFF, OBJ, and ASCII PLY. Every other numeric file
-(matrices, correspondences, landmark pairs) is one headerless text table,
-rows of numbers read by read_table and written by write_table. Parsing is
-strict and order-preserving, so parse -> serialize -> parse is an identity,
-and every malformed file raises ParseError. _file_text is the one place a
-file is read.
+Meshes are ASCII only: OFF, OBJ, and ASCII PLY, chosen by the file
+extension. Every other numeric file (correspondences, landmark pairs) is one
+headerless text table of indices, read by read_table and written by
+write_table. Parsing is strict and order-preserving, so parse -> serialize
+-> parse is an identity, and every malformed file raises ParseError.
+_file_text is the one place a file is read.
 """
 
 from __future__ import annotations
@@ -273,18 +273,17 @@ def _numbers(tokens, dtype, where) -> np.ndarray:
     return out
 
 
-def _table(lines, path, dtype=float, width=None) -> np.ndarray:
+def _table(lines, path, dtype, width) -> np.ndarray:
     """(rows, width) array from (lineno, line) pairs.
 
-    Every row must hold `width` tokens (the first row's count when None).
-    Tokens are converted as one flat list per _TABLE_CHUNK_ROWS rows; only on
-    failure are the lines looked up one by one, so the error names the first
-    bad line, whether its token count or one of its tokens is wrong.
+    Every row must hold `width` tokens. Tokens are converted as one flat
+    list per _TABLE_CHUNK_ROWS rows; only on failure are the lines looked up
+    one by one, so the error names the first bad line, whether its token
+    count or one of its tokens is wrong.
     """
     lines, chunks, n_rows = iter(lines), [_numbers([], dtype, path)], 0
     while chunk := list(islice(lines, _TABLE_CHUNK_ROWS)):
         rows = [line.split() for _, line in chunk]
-        width = len(rows[0]) if width is None else width
         try:
             if any(len(toks) != width for toks in rows):
                 raise ParseError(f"{path}: ragged row")   # located below
@@ -296,37 +295,28 @@ def _table(lines, path, dtype=float, width=None) -> np.ndarray:
                 _numbers(toks, dtype, f"{path}:{no}")
             raise
         n_rows += len(chunk)
-    return np.concatenate(chunks).reshape(n_rows, width or 0)
+    return np.concatenate(chunks).reshape(n_rows, width)
 
 
-def read_table(path, what: str, dtype=float, width=None) -> np.ndarray:
-    """Read a text table: one or more rows of numbers, no header.
+def read_table(path, what: str, width: int) -> np.ndarray:
+    """Read a text table of indices: one or more rows, no header.
 
     Blank lines and '#' comments are skipped anywhere. Every row holds
-    `width` tokens (the first row's count when None). dtype float reads each
-    token with Python's float(), so a value written by write_table comes
-    back bit for bit; dtype int reads 0-based indices, which must be
-    non-negative.
+    `width` 0-based indices, which must be non-negative.
 
-    Returns a (rows, width) float64 or int64 array. Any malformed file
-    (missing, binary, no rows, ragged row, bad token) raises ParseError;
-    `what` names the file kind in the message.
+    Returns a (rows, width) int64 array. Any malformed file (missing,
+    binary, no rows, ragged row, bad token) raises ParseError; `what` names
+    the file kind in the message.
     """
-    table = _table(_meaningful_lines(_file_text(path, what)), path, dtype, width)
+    table = _table(_meaningful_lines(_file_text(path, what)), path, int, width)
     if not len(table):
         raise ParseError(f"{path}: empty {what} file")
     return table
 
 
 def write_table(a, path) -> None:
-    """Write a 2-D array one row per line.
-
-    Floats are written with _fmt (the shortest decimal that reads back
-    exactly), integers as plain ints.
-    """
-    a = np.asarray(a)
-    fmt = str if a.dtype.kind in "iu" else _fmt
-    Path(path).write_text("\n".join(" ".join(map(fmt, row)) for row in a.tolist()) + "\n")
+    """Write a 2-D integer array one row per line."""
+    Path(path).write_text("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n")
 
 
 def _triangles(lines, path) -> np.ndarray:
@@ -456,39 +446,27 @@ _PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
 _SERIALIZERS = {"off": _serialize_off, "obj": _serialize_obj, "ply": _serialize_ply}
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
-    fmt = fmt.lower()
+def _format(path: Path) -> str:
+    fmt = path.suffix.lstrip(".").lower()
     if fmt not in _PARSERS:
         raise ParseError(f"unsupported mesh format {fmt!r} for {path}")
     return fmt
 
 
-def load_mesh(path, fmt: str | None = None) -> TriMesh:
-    """Load an ASCII mesh file; format inferred from the extension unless given."""
+def load_mesh(path) -> TriMesh:
+    """Load an ASCII mesh file; the extension (.off, .obj, .ply) names the format."""
     path = Path(path)
-    return _PARSERS[_infer_format(path, fmt)](_file_text(path, "mesh"), path)
+    return _PARSERS[_format(path)](_file_text(path, "mesh"), path)
 
 
-def save_mesh(mesh: TriMesh, path, fmt: str | None = None) -> None:
+def save_mesh(mesh: TriMesh, path) -> None:
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    path.write_text(_SERIALIZERS[fmt](mesh))
-
-
-def load_matrix(path) -> np.ndarray:
-    """Whitespace-separated decimal text, one matrix row per line."""
-    return read_table(path, "matrix")
-
-
-def save_matrix(a: np.ndarray, path) -> None:
-    write_table(np.atleast_2d(np.asarray(a, dtype=np.float64)), path)
+    path.write_text(_SERIALIZERS[_format(path)](mesh))
 
 
 def load_correspondence(path) -> np.ndarray:
     """One 0-based target index per source vertex, one per line."""
-    return read_table(path, "correspondence", dtype=int, width=1).ravel()
+    return read_table(path, "correspondence", width=1).ravel()
 
 
 def save_correspondence(indices, path) -> None:

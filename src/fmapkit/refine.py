@@ -1,7 +1,7 @@
-"""Map refinement: properness fixed-point iteration and gradient descent.
+"""Map refinement: the properness fixed-point iteration.
 
-Both refiners return the final map(s) plus a per-iteration trace suitable
-for the 'iteration,value' CSV helper at the bottom.
+refine_proper returns the final map plus a per-iteration residual trace,
+which write_trace saves as an 'iteration,residual' CSV.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import single_threaded
-from .errors import MissingFeatures, NonFiniteEnergy
+from .errors import MissingFeatures
 from .fmap import (
     DEFAULT_TAU,
     _soft_apply,
-    grad_unsupervised,
     loss_properness,
-    loss_unsupervised,
     properness_project,
     soft_map,
 )
@@ -27,8 +25,6 @@ from .spectral import SpectralBasis
 # stop when the properness residual, or its change between iterations,
 # drops below this
 RESIDUAL_EPS = 1e-10
-
-MAX_HALVINGS = 30
 
 
 @single_threaded()
@@ -78,44 +74,8 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     return C, np.asarray(trace)
 
 
-@single_threaded()
-def refine_gradient(C12: np.ndarray, C21: np.ndarray,
-                    steps: int = 500, lr: float = 0.1):
-    """Plain gradient descent on the bijectivity/orthogonality energy.
-
-    Each step backtracks by halving the rate (at most 30 times) until the
-    energy does not increase; if no halving helps, iteration stops. The
-    returned energy trace (initial value included) is therefore
-    non-increasing by construction. A non-finite starting energy raises
-    NonFiniteEnergy.
-    """
-    C12 = np.asarray(C12, dtype=np.float64).copy()
-    C21 = np.asarray(C21, dtype=np.float64).copy()
-    e = loss_unsupervised(C12, C21)
-    if not np.isfinite(e):
-        raise NonFiniteEnergy(f"starting energy is {e}")
-    trace = [e]
-    for _ in range(steps):
-        g12, g21 = grad_unsupervised(C12, C21)
-        step = lr
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            cand12 = C12 - step * g12
-            cand21 = C21 - step * g21
-            e_new = loss_unsupervised(cand12, cand21)
-            if np.isfinite(e_new) and e_new <= e:
-                C12, C21, e = cand12, cand21, e_new
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        trace.append(e)
-    return C12, C21, np.asarray(trace)
-
-
-def write_trace(values, path, value_name: str = "residual") -> None:
-    """CSV trace: header 'iteration,<value_name>', one row per iteration."""
-    lines = [f"iteration,{value_name}"]
+def write_trace(values, path) -> None:
+    """CSV trace: header 'iteration,residual', one row per iteration."""
+    lines = ["iteration,residual"]
     lines += [f"{i},{_fmt(v)}" for i, v in enumerate(np.asarray(values).ravel())]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -87,8 +87,8 @@ def disconnected_triangles() -> TriMesh:
 
 
 @single_threaded()
-def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
-    """Subdivided icosahedron projected to a sphere.
+def icosphere(subdivisions: int = 3) -> TriMesh:
+    """Subdivided icosahedron projected to the unit sphere.
 
     subdivisions 0/1/2/3 give 12/42/162/642 vertices. Vertex order is
     deterministic: original icosahedron first, then edge midpoints in face
@@ -112,8 +112,7 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
             ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    v = np.asarray(verts) * radius
-    return TriMesh(v, np.asarray(faces, dtype=np.int64))
+    return TriMesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
 
 
 def bumpy_sphere(subdivisions: int = 3, amplitude: float = 0.12) -> TriMesh:
@@ -123,7 +122,7 @@ def bumpy_sphere(subdivisions: int = 3, amplitude: float = 0.12) -> TriMesh:
     intrinsic descriptors separate all vertices; this is the fixture of
     choice whenever a correspondence must be unique.
     """
-    base = icosphere(subdivisions, radius=1.0)
+    base = icosphere(subdivisions)
     x, y, z = base.vertices.T
     r = 1.0 + amplitude * np.sin(3.0 * x + 0.5) * np.cos(2.0 * y - 0.3) \
         + 0.6 * amplitude * np.sin(5.0 * z + 1.1)

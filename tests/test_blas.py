@@ -39,7 +39,6 @@ ENTRY_POINTS = [
     fmap.loss_unsupervised,
     fmap.grad_unsupervised,
     refine.refine_proper,
-    refine.refine_gradient,
     diagnostics.measure_basis_aligning,
     diagnostics.rank_report,
     diagnostics.theorem_oracle,
@@ -375,16 +374,22 @@ sys.exit(main(["match", "--src", str(out / "src.off"), "--dst", str(out / "dst.o
 """
 
 
-def _run_contract(out: Path, threads: int) -> dict:
-    out.mkdir()
+def _child_env(**variables) -> dict:
+    """This process's environment plus `variables`, with fmapkit importable."""
     src = str(Path(fmapkit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_contract(out: Path, threads: int) -> dict:
+    out.mkdir()
     proc = subprocess.run(
         [sys.executable, "-c", CONTRACT_SCRIPT, str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_child_env(OPENBLAS_NUM_THREADS=str(threads)),
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return {
@@ -403,3 +408,36 @@ def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
         assert one["trace"] == other["trace"]
         assert one["map"] == other["map"]
         assert one["report"] == other["report"]
+
+
+# tests that compare a library result with a reference computed in the test
+# itself, bit for bit; the references run at one BLAS thread, as the library
+# does, so these hold on any OpenBLAS kernel at any thread count
+REFERENCE_TESTS = [
+    "test_fmap.py::TestPropernessProjection::test_hard_map_formula",
+    "test_refine.py::TestRefineProper::test_proper_map_is_fixed_point_at_small_tau",
+    "test_refine.py::TestRefineProper::test_adjoint_step_equals_soft_map_then_projection",
+]
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+@no_blas_control
+@pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"), ("Sandybridge", "avx")])
+def test_references_hold_on_other_kernels_at_two_threads(coretype, flag):
+    if flag not in _cpu_flags():
+        pytest.skip(f"the {coretype} kernel needs {flag}")
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *REFERENCE_TESTS],
+        cwd=tests, env=_child_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_CORETYPE=coretype),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout[-4000:]

@@ -17,7 +17,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import fmapkit
-from fmapkit import cli, diagnostics, spectral, synth
+from fmapkit import cli, diagnostics, refine, spectral, synth
 from fmapkit.cli import (
     DiagnoseConfig,
     MatchConfig,
@@ -248,6 +248,19 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("fmapkit: dense eigensolver failed")
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_data_error(self, small_pair, tmp_path, capsys, monkeypatch):
+        # numpy's report of a feature-mode soft map at n = 40962
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.5 GiB for an array with shape "
+                              "(40962, 40962) and data type float64")
+
+        monkeypatch.setattr(refine, "soft_map", no_memory)
+        rc = main(match_args(small_pair, tmp_path / "map.txt", refine="proper-feature"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fmapkit: out of memory: Unable to allocate 12.5 GiB")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

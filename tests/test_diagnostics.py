@@ -120,6 +120,11 @@ class TestPointwiseMeasures:
                 measure_basis_aligning(pair.C_gt, basis1, basis2, adjoint=pm)
             with pytest.raises(LengthMismatch):
                 measure_properness(pair.C_gt, basis1, basis2, adjoint=pm)
+        # a C that does not fit the bases, with a map that does
+        identity = np.arange(basis2.n)
+        for measure in (measure_basis_aligning, measure_properness):
+            with pytest.raises(LengthMismatch):
+                measure(np.eye(5), basis1, basis2, adjoint=identity)
 
 
 class TestRankAndDistinctness:

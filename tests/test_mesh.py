@@ -3,8 +3,9 @@
 Geometry checks compare against the independent routes in oracles.py
 (Heron areas, heapq Dijkstra); a few values are pinned as literals that were
 computed with those oracles before the implementation existed. The file
-format tests here cover every numeric text reader in the package, since they
-all share mesh.read_table / write_table.
+format tests here cover every numeric text reader in the package: the mesh
+parsers and the index tables (correspondences, landmark pairs) all convert
+their rows in mesh._table.
 """
 
 import mmap
@@ -23,11 +24,11 @@ from fmapkit.mesh import (
     TriMesh,
     graph_geodesics,
     load_correspondence,
-    load_matrix,
     load_mesh,
+    read_table,
     save_correspondence,
-    save_matrix,
     save_mesh,
+    write_table,
 )
 
 # pinned with oracles.dijkstra_ref / total_area_heron before wiring in scipy
@@ -37,19 +38,13 @@ ICO642_ANTIPODAL_DIST = 3.3187961651320244
 STRIP_DISTS = [0.0, 1.0, 2.0, 8.06225774829855]  # last one = sqrt(65)
 
 
-# writer/reader pairs of every table format, each taking and giving an array
-ROUND_TRIPS = {
-    "matrix": (save_matrix, load_matrix),
-    "correspondence": (save_correspondence, load_correspondence),
-}
-
+# every text reader, with the file extension its input is given
 READERS = {
-    "matrix": load_matrix,
-    "correspondence": load_correspondence,
-    "landmarks": load_landmark_pairs,
-    "off": lambda p: load_mesh(p, fmt="off"),
-    "obj": lambda p: load_mesh(p, fmt="obj"),
-    "ply": lambda p: load_mesh(p, fmt="ply"),
+    "correspondence": ("txt", load_correspondence),
+    "landmarks": ("txt", load_landmark_pairs),
+    "off": ("off", load_mesh),
+    "obj": ("obj", load_mesh),
+    "ply": ("ply", load_mesh),
 }
 
 # near-valid starts, so the fuzz also reaches the code past each header (a
@@ -348,52 +343,57 @@ class TestMeshIO:
         with pytest.raises(ParseError):
             load_mesh(path)
 
-    def test_fmt_override(self, tmp_path, tetra):
-        path = tmp_path / "mesh.dat"
-        save_mesh(tetra, path, fmt="off")
-        back = load_mesh(path, fmt="off")
-        assert np.array_equal(back.vertices, tetra.vertices)
+    @settings(deadline=None, max_examples=30)
+    @given(ext=st.sampled_from(["off", "obj", "ply"]),
+           stretch=st.lists(st.floats(-1e-3, 1e-3), min_size=3, max_size=3))
+    def test_float_round_trip_property(self, tmp_path_factory, ico162, ext, stretch):
+        mesh = TriMesh(ico162.vertices * (1.0 + np.asarray(stretch)), ico162.triangles)
+        path = tmp_path_factory.mktemp("mesh") / f"m.{ext}"
+        save_mesh(mesh, path)
+        back = load_mesh(path)
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()   # bit for bit
+        assert np.array_equal(back.triangles, mesh.triangles)
 
 
 class TestMatrixIO:
+    """The one text-matrix format: headerless rows of indices, read by
+    read_table and written by write_table, behind correspondence and
+    landmark files."""
+
     def test_round_trip_exact(self, tmp_path):
-        a = np.random.default_rng(0).standard_normal((7, 4)) * 1e3
-        path = tmp_path / "m.txt"
-        save_matrix(a, path)
-        assert np.array_equal(load_matrix(path), a)
+        a = np.array([[0, 2**63 - 1], [7, 3], [7, 3]])
+        write_table(a, tmp_path / "l.txt")
+        assert np.array_equal(read_table(tmp_path / "l.txt", "landmark", 2), a)
+        assert load_landmark_pairs(tmp_path / "l.txt") == ([0, 7, 7], [2**63 - 1, 3, 3])
 
     def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("1 2 3\n4 5\n")
-        with pytest.raises(ParseError):
-            load_matrix(path)
+        path = tmp_path / "l.txt"
+        path.write_text("1 2\n3\n")
+        with pytest.raises(ParseError, match=r"l\.txt:2: expected 2 values, got 1"):
+            load_landmark_pairs(path)
 
     def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
+        path = tmp_path / "c.txt"
         path.write_text("# nothing\n")
-        with pytest.raises(ParseError):
-            load_matrix(path)
+        with pytest.raises(ParseError, match="empty correspondence file"):
+            load_correspondence(path)
 
     def test_bad_token_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("1 2 fish\n")
-        with pytest.raises(ParseError):
-            load_matrix(path)
+        path = tmp_path / "l.txt"
+        path.write_text("1 fish\n")
+        with pytest.raises(ParseError, match="expected integers"):
+            load_landmark_pairs(path)
 
     def test_header_line_is_a_bad_row(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("FMAP 2 2\n1 0\n0 1\n")
-        with pytest.raises(ParseError, match=r"m\.txt:1: expected numbers"):
-            load_matrix(path)
+        path = tmp_path / "l.txt"
+        path.write_text("PAIRS 2\n1 0\n0 1\n")
+        with pytest.raises(ParseError, match=r"l\.txt:1: expected integers"):
+            load_landmark_pairs(path)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
     def test_chunked_conversion(self, tmp_path, monkeypatch, ico162, chunk):
         monkeypatch.setattr(mesh_module, "_TABLE_CHUNK_ROWS", chunk)
-        a = np.random.default_rng(1).standard_normal((7, 3)) * 1e3
-        save_matrix(a, tmp_path / "m.txt")
-        back = load_matrix(tmp_path / "m.txt")
-        assert back.dtype == a.dtype and np.array_equal(back, a)
-        idx = np.array([5, 0, 2**63 - 1, 3, 3])
+        idx = np.array([5, 0, 2**63 - 1, 3, 3, 1, 4])
         save_correspondence(idx, tmp_path / "c.txt")
         back = load_correspondence(tmp_path / "c.txt")
         assert back.dtype == idx.dtype and np.array_equal(back, idx)
@@ -401,30 +401,27 @@ class TestMatrixIO:
         mesh = load_mesh(tmp_path / "m.off")
         assert np.array_equal(mesh.vertices, ico162.vertices)
         assert np.array_equal(mesh.triangles, ico162.triangles)
-        lines = (tmp_path / "m.txt").read_text().splitlines()
-        lines[5] = "1 fish 2"
-        (tmp_path / "m.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=r"m\.txt:6: expected numbers"):
-            load_matrix(tmp_path / "m.txt")
+
+        def spoil(path, lineno, line):
+            lines = path.read_text().splitlines()
+            lines[lineno - 1] = line
+            path.write_text("\n".join(lines) + "\n")
+
+        spoil(tmp_path / "c.txt", 6, "fish")
+        with pytest.raises(ParseError, match=r"c\.txt:6: expected integers"):
+            load_correspondence(tmp_path / "c.txt")
+        spoil(tmp_path / "m.off", 8, "1 fish 2")   # the sixth vertex row
+        with pytest.raises(ParseError, match=r"m\.off:8: expected numbers"):
+            load_mesh(tmp_path / "m.off")
 
     @settings(deadline=None, max_examples=100)
-    @given(
-        st.sampled_from(sorted(ROUND_TRIPS)),
-        st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
-                     min_size=3, max_size=3),
-            min_size=1, max_size=8,
-        ),
-        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8),
-    )
-    def test_round_trip_property(self, tmp_path_factory, fmt, rows, indices):
-        save, load = ROUND_TRIPS[fmt]
-        a = np.asarray(indices if fmt == "correspondence" else rows)
-        path = tmp_path_factory.mktemp("mat") / "m.txt"
-        save(a, path)
-        back = load(path)
-        assert back.dtype == a.dtype
-        assert np.array_equal(back, a)
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=8))
+    def test_round_trip_property(self, tmp_path_factory, width, indices):
+        a = np.asarray(indices[:len(indices) // width * width]).reshape(-1, width)
+        path = tmp_path_factory.mktemp("table") / "t.txt"
+        write_table(a, path)
+        back = read_table(path, "index", width)
+        assert back.dtype == np.int64 and np.array_equal(back, a)
 
 
 class TestCorrespondenceIO:
@@ -463,10 +460,11 @@ class TestReaderFuzz:
                   st.text(alphabet="0123456789 -+.e#x\n", max_size=80)),
     ))
     def test_readers_raise_only_fmap_errors(self, tmp_path_factory, reader, data):
-        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+        ext, read = READERS[reader]
+        path = tmp_path_factory.mktemp("fuzz") / f"f.{ext}"
         path.write_bytes(data)
         try:
-            READERS[reader](path)
+            read(path)
         except FmapError:
             pass
 

@@ -160,3 +160,8 @@ class TestWriteTrace:
         assert path.read_text() == (
             "iteration,residual\n0,1.0\n1,0.5\n2,0.25\n"
         )
+
+    def test_default_value_name(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(np.array([2.0]), path)
+        assert path.read_text().splitlines()[0] == "iteration,residual"

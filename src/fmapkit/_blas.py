@@ -40,6 +40,9 @@ wrapped entry point named first:
 * spectral.SpectralBasis.reconstruct: `phi @ a`
 * fmap.solve_fmap: the two Gram products, `eigvalsh`, `solve`
 * fmap.convert_adjoint: `phi2 @ C`
+* fmap.nearest_rows (also under convert_adjoint and convert_feature_nn)
+  and diagnostics.nn_distinctness: the nearest-row kernel `fmap._nearest`,
+  one GEMM `[-2q, 1] @ [p, |p|^2].T` per row block
 * fmap.soft_map: `v2 @ v1.T`, per row block
 * fmap._soft_apply: `v2 @ v1.T` and the block's pull-back, per row block
 * fmap._pull_back: `matrix @ values` (soft maps), per row block;
@@ -57,12 +60,12 @@ wrapped entry point named first:
 * diagnostics.build_structure_report: only the calls above, wrapped once
   so that a whole run switches the count once
 
-`row_blocks` also runs the soft-map row checks and the `cdist` +
-`argmin` of `fmap.nearest_rows` (wrapped only to read the caller's count),
-and hands each worker its own scratch buffer.
+`row_blocks` also runs the soft-map row checks and the nearest-row
+kernel's argmin and exact recheck, and hands each worker its own scratch
+buffer.
 
 Everything else in the package (einsum without `optimize`, norms along an
-axis, `cdist`, `cKDTree`, sparse products, Dijkstra) does not reach BLAS.
+axis, sparse products, Dijkstra) does not reach BLAS.
 """
 
 from __future__ import annotations
@@ -83,6 +86,10 @@ _SYMBOLS = (
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+# kernel-name getters, one per OpenBLAS build flavour, in the same order
+_CORE_NAMES = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+               "openblas_get_corename")
 
 # rows per block of `row_blocks`; a multiple of 24 (see above)
 ROW_BLOCK = 96
@@ -142,6 +149,25 @@ def _controls() -> tuple[tuple[str, object, object], ...]:
 def controlled_libraries() -> tuple[str, ...]:
     """Paths of the BLAS libraries whose thread count fmapkit controls."""
     return tuple(path for path, _, _ in _controls())
+
+
+def core_names() -> tuple[str, ...]:
+    """OpenBLAS kernel name (say "SkylakeX") of each controlled library, in the same order.
+
+    Read from the libraries `_controls` found; "unknown" where a library
+    exports no kernel-name getter. The kernel is what `OPENBLAS_CORETYPE`
+    forces, and exact float pins depend on it.
+    """
+    names = []
+    for path, _, _ in _controls():
+        lib = ctypes.CDLL(path)   # already loaded: the same handle
+        get = next((getattr(lib, name) for name in _CORE_NAMES if hasattr(lib, name)), None)
+        if get is None:
+            names.append("unknown")
+            continue
+        get.restype, get.argtypes = ctypes.c_char_p, []
+        names.append(get().decode())
+    return tuple(names)
 
 
 def thread_counts() -> tuple[int, ...]:

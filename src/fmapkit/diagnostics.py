@@ -24,13 +24,14 @@ from .fmap import (
     loss_properness,
     properness_project,
     _feature_values,
+    _nearest,
     _pull_back,
+    _sq_dist,
 )
 from .mesh import _fmt
 from .spectral import SpectralBasis
 
 ORACLE_TOL = 1e-8
-_KD_LEAFSIZE = 16   # cKDTree's default; tests shrink it to grow deep trees
 N_PROBE_MAPS = 10   # random hard maps the oracle checks the energy identity on
 
 
@@ -93,10 +94,12 @@ def rank_report(F, A) -> tuple[int, int]:
     return _rank(_feature_values(F)), _rank(A)
 
 
+@single_threaded()
 def nn_distinctness(features) -> float:
     """Mean distance from each descriptor row to its nearest other row.
 
-    Exact, in O(n) memory (_nearest_other); nan for a non-finite stack.
+    Exact, as the full cdist table gives it, in O(n) memory beyond the
+    row blocks (_nearest_other); nan for a non-finite stack.
     """
     values = _feature_values(features)
     if len(values) < 2:
@@ -109,33 +112,11 @@ def nn_distinctness(features) -> float:
 def _nearest_other(values: np.ndarray) -> np.ndarray:
     """Each row's squared distance to its nearest other row, as cdist gives it.
 
-    A k-d tree proposes each row's nearest other row, and the distance is
-    recomputed as cdist computes it. A row whose runner-up lies within 1e-9
-    (relative) of that proposal takes the exact minimum over every row
-    within that radius.
+    fmap's nearest-row kernel, with each row's own column left out, finds
+    the row; its distance is recomputed in cdist's order, once per call.
     """
-    from scipy.spatial import cKDTree   # here, so `eval` never loads scipy.spatial
-    n, d = values.shape
-    if not d:
-        return np.zeros(n)   # rows with no columns coincide
-    tree = cKDTree(values, leafsize=_KD_LEAFSIZE)
-    dist, idx = tree.query(values, k=min(3, n))
-    # the other rows in the tree's order; a duplicate may come before the row
-    order = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
-    dist, idx = np.take_along_axis(dist, order, 1), np.take_along_axis(idx, order, 1)
-    # at n = 2 column 1 is the row itself, so every row counts as a near tie
-    ties = np.flatnonzero((dist[:, 0] > 0) & (dist[:, 1] <= dist[:, 0] * (1 + 1e-9)))
-    balls = tree.query_ball_point(values[ties], dist[ties, 0] * (1 + 1e-9))
-    a = np.concatenate([np.arange(n), np.repeat(ties, [len(ball) for ball in balls])])
-    b = np.concatenate([idx[:, 0], *balls])
-    a, b = a[a != b], b[a != b]
-    sq = np.zeros(len(a))
-    for col in values.T:   # cdist's order, so the values agree with it bit for bit
-        diff = col[a] - col[b]
-        sq += diff * diff
-    nearest = np.full(n, np.inf)
-    np.minimum.at(nearest, a, sq)
-    return nearest
+    other = _nearest(values, values, skip_self=True)
+    return _sq_dist(values, values[other], np.empty(len(values)))
 
 
 def energy_terms(pi: np.ndarray, F1, F2, basis2: SpectralBasis):

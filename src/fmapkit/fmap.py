@@ -100,30 +100,112 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
         raise RankDeficient(f"regularized row system is singular: {exc}") from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _sq_dist(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[...] = sum_k (x[..., k] - y[..., k])**2, x and y broadcast.
+
+    The terms are added in coordinate order, starting from 0, as scipy's
+    cdist adds them for "sqeuclidean", so the values agree with it bit for
+    bit, and like it warn of no overflow or NaN.
+    """
+    out[...] = 0.0
+    for xk, yk in zip(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)):
+        diff = xk - yk
+        diff *= diff
+        out += diff
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _nearest(queries: np.ndarray, points: np.ndarray, skip_self: bool = False) -> np.ndarray:
+    """np.argmin(cdist(queries, points, "sqeuclidean"), axis=1), bit for bit.
+
+    With skip_self (queries is points), each row's own column is left out.
+    See nearest_rows for the method and its bound. Warns as _sq_dist does.
+    """
+    d = queries.shape[1]
+    idx = np.empty(len(queries), dtype=np.int64)
+    if len(queries) and not len(points):
+        raise ValueError("attempt to get argmin of an empty sequence")
+    # est = [-2q, 1] @ [p, |p|^2]^T = |p|^2 - 2 q.p, the distance less |q|^2
+    pp = np.einsum("ij,ij->i", points, points)
+    q_aug = np.hstack([-2.0 * queries, np.ones((len(queries), 1))])
+    p_aug = np.hstack([points, pp[:, None]])
+    scale = np.einsum("ij,ij->i", queries, queries) + pp.max(initial=0.0)
+    tol = np.where(scale < 2.0 ** 1000, 8 * (d + 2) * np.finfo(float).eps * scale, np.inf)
+    tol += (d + 2) * 2.0 ** -1070   # products that underflow
+
+    def block(a, b, est):
+        rows = np.arange(b - a)
+        np.matmul(q_aug[a:b], p_aug.T, out=est)
+        if skip_self:
+            est[rows, rows + a] = np.inf
+        first = est.argmin(axis=1)
+        best = est[rows, first]
+        est[rows, first] = np.inf
+        idx[a:b] = first
+        redo = np.flatnonzero(~(est.min(axis=1) > best + tol[a:b]))
+        if not redo.size:
+            return
+        est[redo, first[redo]] = best[redo]
+        bound = best[redo] + tol[a + redo]
+        r, c = np.nonzero(est[redo] <= bound[:, None])
+        if np.isfinite(bound).all() and r.size * d <= est.size:
+            # finite rows, at most a buffer's worth of candidates: only they
+            # can hold an exact minimum
+            exact = _sq_dist(queries[a + redo[r]], points[c], np.empty(r.size))
+            est[redo] = np.inf
+            est[redo[r], c] = exact
+            idx[a + redo] = est[redo].argmin(axis=1)
+            return
+        exact = _sq_dist(queries[a + redo, None, :], points, est[:redo.size])
+        if skip_self:
+            exact[np.arange(redo.size), a + redo] = np.inf
+        got = exact.argmin(axis=1)
+        if skip_self:   # row 0 with every other distance inf: its first other row
+            got[got == a + redo] = 1
+        idx[a + redo] = got
+
+    _blas.row_blocks(block, len(queries), len(points))
+    return idx
+
+
 @single_threaded()
 def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Index of the nearest row of `points` for every row of `queries`.
 
-    Squared Euclidean metric, computed coordinate-difference-wise (so values
-    agree bit for bit with a naive double loop); ties resolve to the lowest
-    index. Runs on the row blocks of `_blas.row_blocks`, so it holds one
-    (ROW_BLOCK, len(points)) distance block per worker.
+    Exactly np.argmin(cdist(queries, points, "sqeuclidean"), axis=1): the
+    squared distances as cdist adds them (`_sq_dist`), ties to the lowest
+    index, and a row with a NaN distance takes the first NaN.
+
+    Each `_blas.row_blocks` block estimates est = |p|^2 - 2 q.p, the
+    distance less |q|^2, with one single-threaded GEMM in its worker's
+    (ROW_BLOCK, len(points)) buffer, and takes each row's argmin. The
+    rounding bound of Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed., 2002), Sec. 3.1, |fl(x.y) - x.y| <= gamma_m
+    sum |x_i y_i| with gamma_m = m u / (1 - m u), holds in any summation
+    order, FMA included. With S = |q|^2 + max |p|^2 it puts each estimate
+    within 3 gamma_{d+1} S of |p|^2 - 2 q.p and each cdist sum within
+    2 gamma_{d+2} S of the true squared distance, so the estimate of
+    cdist's nearest row lies within 2 (3 gamma_{d+1} + 2 gamma_{d+2}) S
+    <= 10 gamma_{d+2} S ~ 5 (d + 2) eps S of the row's minimum. A row is
+    rechecked in cdist's order if its runner-up estimate lies within
+    8 (d + 2) eps S (plus (d + 2) 2**-1070 for products that underflow)
+    of its minimum, if that minimum is not finite, or if S is not below
+    2**1000 (a non-finite entry, or estimates that could overflow): only
+    its columns within that bound, which hold every exact minimum, or the
+    whole row where the bound is not finite or a block's candidates
+    would outgrow its buffer. Every other row's argmin is cdist's, so the
+    answer does not depend on how the BLAS kernel rounds (a classical
+    GEMM is assumed, no Strassen-like product).
     """
-    from scipy.spatial.distance import cdist   # here, so `eval` never loads scipy.spatial
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     if queries.shape[1] != points.shape[1]:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
         )
-    idx = np.empty(len(queries), dtype=np.int64)
-
-    def block(a, b, buf):
-        d = cdist(queries[a:b], points, metric="sqeuclidean", out=buf)
-        idx[a:b] = np.argmin(d, axis=1)
-
-    _blas.row_blocks(block, len(queries), len(points))
-    return idx
+    return _nearest(queries, points)
 
 
 @single_threaded()

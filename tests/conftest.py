@@ -17,6 +17,12 @@ K = 30
 FEATURE_DIM = 60
 
 
+def pytest_report_header(config):
+    """Name the OpenBLAS kernel: the exact float pins hold for one kernel."""
+    names = ", ".join(_blas.core_names()) or "none controlled"
+    return f"fmapkit OpenBLAS kernels: {names}"
+
+
 @pytest.fixture(autouse=True)
 def cold_basis_cache():
     """Every test starts with no eigenbasis left over from an earlier one."""

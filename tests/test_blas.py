@@ -40,6 +40,7 @@ ENTRY_POINTS = [
     fmap.grad_unsupervised,
     refine.refine_proper,
     diagnostics.measure_basis_aligning,
+    diagnostics.nn_distinctness,
     diagnostics.rank_report,
     diagnostics.theorem_oracle,
     diagnostics.build_structure_report,
@@ -71,6 +72,13 @@ def two_threads(blas_threads):
 @_blas.single_threaded()
 def _counts_inside():
     return _blas.thread_counts()
+
+
+@no_blas_control
+def test_core_names_name_each_controlled_library():
+    names = _blas.core_names()
+    assert len(names) == len(_blas.controlled_libraries())
+    assert all(isinstance(name, str) and name for name in names)
 
 
 def test_entry_points_are_wrapped():
@@ -412,11 +420,17 @@ def test_outputs_identical_at_one_and_two_blas_threads(tmp_path):
 
 # tests that compare a library result with a reference computed in the test
 # itself, bit for bit; the references run at one BLAS thread, as the library
-# does, so these hold on any OpenBLAS kernel at any thread count
+# does, or without BLAS (cdist), so these hold on any OpenBLAS kernel at any
+# thread count. The nearest-row kernel's GEMM estimate rounds differently on
+# each kernel; its answer must not.
 REFERENCE_TESTS = [
     "test_fmap.py::TestPropernessProjection::test_hard_map_formula",
     "test_refine.py::TestRefineProper::test_proper_map_is_fixed_point_at_small_tau",
     "test_refine.py::TestRefineProper::test_adjoint_step_equals_soft_map_then_projection",
+    "test_fmap.py::TestNearestRows::test_equals_cdist_argmin",
+    "test_fmap.py::TestNearestRows::test_equals_cdist_argmin_on_icosphere_stacks",
+    "test_diagnostics.py::TestRankAndDistinctness::test_nn_distinctness_equals_full_distance_table",
+    "test_diagnostics.py::TestRankAndDistinctness::test_nn_distinctness_is_exact_on_symmetric_ties",
 ]
 
 
@@ -440,4 +454,4 @@ def test_references_hold_on_other_kernels_at_two_threads(coretype, flag):
         cwd=tests, env=_child_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_CORETYPE=coretype),
         capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout[-4000:]
+    assert proc.returncode == 0 and "17 passed" in proc.stdout, proc.stdout[-4000:]

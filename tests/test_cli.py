@@ -540,11 +540,12 @@ src, dst, pred, gt, out = sys.argv[1:]
 seen = [loaded()]
 assert cli.main(["eval", "--pred", pred, "--gt", gt, "--mesh", src, "--out", out + ".csv"]) == 0
 seen.append(loaded())
-import scipy.spatial.distance as distance
-cdist, calls = distance.cdist, []
-distance.cdist = lambda *args, **kwargs: calls.append(1) or cdist(*args, **kwargs)
 assert cli.main(["match", "--src", src, "--dst", dst, "--out", out]) == 0
-seen.append(len(calls) > 0)
+seen.append(loaded())
+assert cli.main(["match", "--src", src, "--dst", dst, "--out", out, "--convert", "nn"]) == 0
+seen.append(loaded())
+assert cli.main(["diagnose", "--src", src, "--dst", dst, "--out", out + ".diag"]) == 0
+seen.append(loaded())
 print(json.dumps(seen))
 """
 
@@ -565,10 +566,11 @@ class TestImports:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        on_import, after_eval, match_used_cdist = json.loads(proc.stdout.splitlines()[-1])
+        on_import, *after_each = json.loads(proc.stdout.splitlines()[-1])
         assert on_import == []
-        assert after_eval == ["scipy.sparse.csgraph"]
-        assert match_used_cdist
+        # eval searches the mesh graph; match (adjoint and nn) and diagnose
+        # find nearest rows with fmapkit's own kernel, never scipy.spatial
+        assert after_each == [["scipy.sparse.csgraph"]] * 4
 
 
 class TestLandmarkParsing:

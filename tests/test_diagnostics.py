@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from fmapkit import cli, diagnostics, synth
+from fmapkit import _blas, cli, diagnostics, synth
 from fmapkit.cli import DiagnoseConfig
 from fmapkit.diagnostics import (
     OracleVerdict,
@@ -152,19 +152,21 @@ class TestRankAndDistinctness:
         F = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
         assert nn_distinctness(F) < 2.0  # two of three rows coincide
 
-    @pytest.mark.parametrize("leafsize", [1, 3, None])
+    @pytest.mark.parametrize("row_block", [1, 3, None])
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 4).flatmap(lambda d: st.lists(
         st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=1, max_size=5)),
         st.lists(st.integers(0, 4), min_size=2, max_size=12))
     @example([[0.0, 3.0], [4.0, 0.0]], [0, 1])   # two rows: no runner-up
-    def test_nn_distinctness_equals_full_distance_table(self, leafsize, pool, picks):
-        # rows drawn from a small pool, so duplicates are common; small leaves
-        # split them across many tree nodes, None keeps the default leaf size
+    @example([[1e200, 0.0], [-1e200, 0.0]], [0, 1, 1])   # row 0: every other distance inf
+    def test_nn_distinctness_equals_full_distance_table(self, row_block, pool, picks):
+        # rows drawn from a small pool, so duplicates are common; small row
+        # blocks put a row's own column and its duplicates in other blocks,
+        # None keeps the default block size
         F = np.array([pool[i % len(pool)] for i in picks])
         with pytest.MonkeyPatch.context() as mp:
-            if leafsize is not None:
-                mp.setattr(diagnostics, "_KD_LEAFSIZE", leafsize)
+            if row_block is not None:
+                mp.setattr(_blas, "ROW_BLOCK", row_block)
             assert_equals_full_distance_table(F)
 
     @pytest.mark.parametrize("level", [2, 3])

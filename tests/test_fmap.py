@@ -8,11 +8,13 @@ the analytic gradients against central finite differences.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import oracles as orc
-from fmapkit import _blas, fmap
+from fmapkit import _blas, cli, fmap, synth
 from fmapkit._blas import single_threaded
+from fmapkit.cli import DiagnoseConfig
 from fmapkit.errors import LengthMismatch, RankDeficient
 from fmapkit.fmap import (
     convert_adjoint,
@@ -134,6 +136,46 @@ class TestNearestRows:
         for edge in (block - 1, block, 2 * block - 1, 2 * block):
             assert ties[edge] == orc.brute_nn(queries[edge:edge + 1], points)[0]
         assert np.array_equal(nearest_rows(queries, points), ties)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+        min_size=d, max_size=d), min_size=1, max_size=6)),
+        st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        st.sampled_from([1.0, 1e-158, 1e-170, 1e160, 1e200]),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 39), st.integers(0, 3),
+                           st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2),
+        st.sampled_from([1, 5, None]))
+    # an exact tie between subnormal squared distances
+    @example([[0.5], [-0.3], [0.1]], [2], [1, 1, 0], 1e-158, [], None)
+    def test_equals_cdist_argmin(self, pool, query_picks, point_picks, scale, specials,
+                                 row_block):
+        # rows drawn from a small pool of small integers or floats, so exact
+        # ties and duplicates are common; scaled so that squares may
+        # underflow or overflow; a few entries set to NaN or +-inf (argmin
+        # takes a row's first NaN distance)
+        queries = scale * np.array([pool[i % len(pool)] for i in query_picks])
+        points = scale * np.array([pool[i % len(pool)] for i in point_picks])
+        for in_queries, row, col, value in specials:
+            rows = queries if in_queries else points
+            rows[row % len(rows), col % rows.shape[1]] = value
+        with pytest.MonkeyPatch.context() as mp:
+            if row_block is not None:
+                mp.setattr(_blas, "ROW_BLOCK", row_block)
+            got = nearest_rows(queries, points)
+        assert np.array_equal(got, np.argmin(cdist(queries, points, "sqeuclidean"), axis=1))
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("desc", ["xyz", "stack"])
+    def test_equals_cdist_argmin_on_icosphere_stacks(self, level, desc):
+        # icosphere rows have many neighbours at exactly equal distances; the
+        # rounded copy adds ties between whole groups of rows
+        _, features = cli._prepare_side(synth.icosphere(level),
+                                        DiagnoseConfig(src="a", dst="b", desc=desc))
+        for points in (features[::-1], np.round(features, 1)):
+            assert np.array_equal(nearest_rows(features, points),
+                                  np.argmin(cdist(features, points, "sqeuclidean"), axis=1))
 
 
 class TestPointMap:

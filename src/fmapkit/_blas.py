@@ -52,7 +52,7 @@ wrapped entry point named first:
 * diagnostics.measure_basis_aligning: `phi2 @ C`, a Frobenius `norm` (ddot);
   the report and the oracle also call it
 * diagnostics.rank_report: `svd`, in the private `_rank` that the oracle
-  also calls
+  and the report also call
 * diagnostics.theorem_oracle: `lstsq`, `c_opt @ a1`, `phi2 @ c_opt`, `norm`
 * synth.icosphere: 3-vector `norm` (ddot)
 * refine.refine_proper: `phi2 @ C` and the fused per-block pull-back

@@ -1,12 +1,18 @@
 """Command-line interface: match, eval, diagnose.
 
 An option left out takes its default from MatchConfig or DiagnoseConfig, and
-`--help` shows it. `match` and `diagnose` keep the eigenbases of the
-BASIS_CACHE_SIZE most recently solved shapes in the process, keyed on the
-mesh content and the basis size only, so a caller that runs them in one
-process against a recurring shape solves its basis once, whatever the
-descriptor options; separate processes share nothing. Descriptors are
-rebuilt on every call. A cold and a warm cache give the same output bytes.
+`--help` shows it. The parser is built on the first main() call and reused
+by every later one in the process.
+
+A caller that runs commands in one process against a recurring shape
+prepares it once. Every command loads meshes through mesh.load_mesh, which
+parses a file text once while it is among the MESH_CACHE_SIZE most recently
+loaded, and `eval` keeps each mesh's landmark rows while the mesh lives.
+`match` and `diagnose` keep the eigenbases of the BASIS_CACHE_SIZE most
+recently solved shapes, keyed on the mesh content and the basis size only,
+so a basis is solved once whatever the descriptor options. Descriptors are
+rebuilt on every call; separate processes share nothing. A cold and a warm
+cache give the same output bytes.
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, out-of-range
 values, k exceeding the vertex count), 3 for data problems (parse failures,
@@ -20,15 +26,15 @@ on the numpy/scipy/OpenBLAS build and on the CPU kernel OpenBLAS selects.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._lru import LRU
 from .descriptors import (
     concat_features,
     default_hks_times,
@@ -105,11 +111,10 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t):
     return concat_features(parts)
 
 
-# Eigenbases of the most recently solved shapes, least recently used first.
-# Two cover a loop that matches one fixed shape against a stream of others.
+# Eigenbases of the most recently solved shapes. Two cover a loop that
+# matches one fixed shape against a stream of others.
 BASIS_CACHE_SIZE = 2
-_bases: OrderedDict[tuple[bytes, int], SpectralBasis] = OrderedDict()
-_bases_lock = threading.Lock()
+_bases = LRU(BASIS_CACHE_SIZE)
 
 
 def _basis(mesh, size: int) -> SpectralBasis:
@@ -122,21 +127,14 @@ def _basis(mesh, size: int) -> SpectralBasis:
     for arr in (mesh.vertices, mesh.triangles):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    key = (h.digest(), size)
-    with _bases_lock:
-        if key in _bases:
-            _bases.move_to_end(key)
-            return _bases[key]
-        # Evict before solving: a basis freed after the new one is solved
-        # leaves its blocks stranded in the allocator's heap (match at
-        # n = 2562 then peaks at ~160 MiB RSS instead of ~140).
-        while len(_bases) >= BASIS_CACHE_SIZE:
-            _bases.popitem(last=False)
+
+    def solve():
         basis = eigenbasis(build_laplacian(mesh), size)
         for arr in (basis.lam, basis.phi, basis.mass):
             arr.flags.writeable = False
-        _bases[key] = basis
         return basis
+
+    return _bases.get((h.digest(), size), solve)
 
 
 def _prepare_side(mesh, cfg: _PairConfig, landmarks=(), landmark_t=None):
@@ -194,7 +192,7 @@ def run_diagnose(cfg: DiagnoseConfig):
     verdict = theorem_oracle(f1, f2, basis1, basis2, seed=cfg.seed)
     C = solve_fmap(project_coeffs(basis1, f1), project_coeffs(basis2, f2),
                    basis1.lam, basis2.lam, cfg.mu)
-    report = build_structure_report(C, basis1, basis2, f1, f2)
+    report = build_structure_report(C, basis1, basis2, f1, f2, verdict=verdict)
     text = verdict.to_text() + "\n" + report.to_text()
     if cfg.out:
         Path(cfg.out).write_text(text)
@@ -231,9 +229,12 @@ def _help_with_defaults(config) -> type[argparse.HelpFormatter]:
     return Formatter
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # No flag has a default of its own: an absent flag is absent from the
-    # namespace, so the config's field default applies (and --help shows it).
+    # Built once per process and shared by every main() call; parse_args
+    # keeps no state between calls. No flag has a default of its own: an
+    # absent flag is absent from the namespace, so the config's field
+    # default applies (and --help shows it).
     no_defaults = {"argument_default": argparse.SUPPRESS}
     shared = argparse.ArgumentParser(add_help=False, **no_defaults)
     shared.add_argument("--src", required=True, help="source mesh (the map points INTO it)")
@@ -281,6 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code (argparse exits 2 itself)."""
     opts = vars(_build_parser().parse_args(argv))
     command = opts.pop("command")
     try:

@@ -278,20 +278,30 @@ class StructureReport:
 @single_threaded()
 def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
                            basis2: SpectralBasis, F1, F2,
-                           adjoint: np.ndarray | None = None) -> StructureReport:
+                           adjoint: np.ndarray | None = None,
+                           verdict: OracleVerdict | None = None) -> StructureReport:
     """Assemble the per-pair report; completeness is the worse of two sides.
 
     The properness residual and the basis-aligning chamfer both need C's
     adjoint pointwise map, convert_adjoint(C, basis1.phi, basis2.phi).
     A caller that already holds that map passes it as `adjoint`, so the
     report makes no nearest-neighbour search of its own; without it, the
-    report converts C once and uses the result for both measures. The
+    report converts C once and uses the result for both measures.
+    A caller that holds theorem_oracle's verdict on the same F1, F2 and
+    bases passes it as `verdict`, and the report takes its completeness
+    pair, rank(A1) and distinctness instead of measuring them again. The
     report text is the same either way.
     """
-    v1, v2 = _feature_values(F1), _feature_values(F2)
-    a1 = basis1.project(v1)
-    comp = min(measure_completeness(basis1, v1), measure_completeness(basis2, v2))
-    rank_f, rank_a = rank_report(v1, a1)
+    v1 = _feature_values(F1)
+    if verdict is None:
+        comp = min(measure_completeness(basis1, v1),
+                   measure_completeness(basis2, _feature_values(F2)))
+        rank_f, rank_a = rank_report(v1, basis1.project(v1))
+        distinct = nn_distinctness(v1)
+    else:
+        comp = min(verdict.completeness1, verdict.completeness2)
+        rank_f, rank_a = _rank(v1), verdict.rank_a1
+        distinct = verdict.nn_distinctness1
     if adjoint is None:
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
     return StructureReport(
@@ -300,5 +310,5 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
         basis_align_chamfer=measure_basis_aligning(C, basis1, basis2, adjoint),
         rank_F=rank_f,
         rank_A=rank_a,
-        nn_distinctness=nn_distinctness(v1),
+        nn_distinctness=distinct,
     )

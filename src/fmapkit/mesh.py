@@ -10,10 +10,16 @@ headerless text table of indices, read by read_table and written by
 write_table. Parsing is strict and order-preserving, so parse -> serialize
 -> parse is an identity, and every malformed file raises ParseError.
 _file_text is the one place a file is read.
+
+load_mesh keeps the MESH_CACHE_SIZE most recently loaded meshes of the
+process, keyed on the format and the text read, so a file loaded again
+(under any path) is parsed and validated once and its TriMesh, with its
+memoised edge graph, is shared.
 """
 
 from __future__ import annotations
 
+import hashlib
 import mmap
 from itertools import islice
 from pathlib import Path
@@ -21,6 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from ._lru import LRU
 from .errors import DegenerateMesh, IndexOutOfRange, ParseError
 
 # Triangles are rejected when their area falls below this fraction of the
@@ -29,6 +36,11 @@ AREA_FLOOR_SCALE = 1e-12
 
 _TABLE_CHUNK_ROWS = 1024  # rows of a text table whose tokens _table converts at once
 _GEODESIC_BLOCK_ROWS = 32  # sources per Dijkstra call when a larger table is assembled
+
+# Meshes of the most recently loaded files; two cover a loop that matches
+# one fixed shape against a stream of others.
+MESH_CACHE_SIZE = 2
+_meshes = LRU(MESH_CACHE_SIZE)
 
 
 def _fmt(x: float) -> str:
@@ -454,9 +466,20 @@ def _format(path: Path) -> str:
 
 
 def load_mesh(path) -> TriMesh:
-    """Load an ASCII mesh file; the extension (.off, .obj, .ply) names the format."""
+    """Load an ASCII mesh file; the extension (.off, .obj, .ply) names the format.
+
+    The file is read on every call. Its text is parsed and validated once
+    while its format and a digest of the text are among the MESH_CACHE_SIZE
+    most recently loaded: a hit returns the same immutable TriMesh, with its
+    memoised edge_graph(), whatever the path; a file rewritten in place
+    misses. A file that fails to parse is not cached, and its ParseError
+    names its own path.
+    """
     path = Path(path)
-    return _PARSERS[_format(path)](_file_text(path, "mesh"), path)
+    fmt = _format(path)
+    text = _file_text(path, "mesh")
+    key = (fmt, hashlib.blake2b(text.encode(), digest_size=16).digest())
+    return _meshes.get(key, lambda: _PARSERS[fmt](text, path))
 
 
 def save_mesh(mesh: TriMesh, path) -> None:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fmapkit import _blas, cli, synth
+from fmapkit import _blas, cli, evaluate, mesh as mesh_module, synth
 from fmapkit.spectral import build_laplacian, eigenbasis
 
 K = 30
@@ -24,9 +24,16 @@ def pytest_report_header(config):
 
 
 @pytest.fixture(autouse=True)
-def cold_basis_cache():
-    """Every test starts with no eigenbasis left over from an earlier one."""
+def cold_side_cache():
+    """Every test starts with every process cache and memo of fmapkit empty.
+
+    tests/test_lint.py checks that each module-level cache is named here.
+    """
     cli._bases.clear()
+    cli._build_parser.cache_clear()
+    mesh_module._meshes.clear()
+    evaluate._landmark_rows.clear()
+    _blas._controls.cache_clear()
 
 
 @pytest.fixture(scope="session")

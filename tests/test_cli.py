@@ -199,6 +199,31 @@ class TestDiagnose:
         assert float(data["completeness2"]) < 0.999
         assert data["preconditions_ok"] == "false"
 
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_the_report_takes_the_oracles_measures(self, small_pair, monkeypatch, noise):
+        calls = []
+        original = diagnostics.nn_distinctness
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "nn_distinctness", counted)
+        cfg = DiagnoseConfig(src=str(small_pair.src), dst=str(small_pair.dst), k=25,
+                             noise=noise)
+        verdict, report, text = run_diagnose(cfg)
+        assert len(calls) == 1
+        # the text a report that measures everything itself gives
+        remeasured = []
+
+        def full_report(*args, verdict, **kwargs):
+            remeasured.append(verdict)
+            return diagnostics.build_structure_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_structure_report", full_report)
+        assert run_diagnose(cfg)[2] == text
+        assert remeasured == [verdict] and len(calls) == 3
+
 
 class TestExitCodes:
     def test_oversized_k_is_usage_error(self, small_pair, tmp_path, capsys):
@@ -592,6 +617,67 @@ def subparser(command):
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices[command]
+
+
+class TestOneParser:
+    """main() builds its parser once per process, and no option of one call
+    reaches the next."""
+
+    def test_commands_in_sequence_take_only_their_own_flags(self, monkeypatch, capsys):
+        seen = []
+
+        def record(result):
+            def runner(*args, **kwargs):
+                seen.append(args[0] if args else kwargs)
+                return result
+            return runner
+
+        monkeypatch.setattr(cli, "run_match", record((np.zeros(1), None, None)))
+        monkeypatch.setattr(cli, "run_eval", record(np.zeros(1)))
+        monkeypatch.setattr(cli, "run_diagnose", record((None, None, "")))
+        pair = ["--src", "a", "--dst", "b"]
+        match_flags = ["--k", "7", "--desc", "wks", "--smooth-j", "9", "--smooth-t", "0.5",
+                       "--mu", "2", "--refine", "proper-feature", "--refine-iters", "3",
+                       "--tau", "0.5", "--convert", "nn", "--landmarks", "l",
+                       "--landmark-t", "0.3"]
+        diagnose_flags = ["--k", "8", "--desc", "xyz", "--smooth-j", "5", "--smooth-t", "1",
+                          "--mu", "4", "--out", "d", "--noise", "0.2", "--seed", "6"]
+        eval_args = ["--pred", "p", "--gt", "g", "--mesh", "m", "--out", "e"]
+        runs = [
+            (["match", *pair, "--out", "c", *match_flags],
+             MatchConfig(src="a", dst="b", out="c", k=7, desc="wks", smooth_j=9,
+                         smooth_t=0.5, mu=2.0, refine="proper-feature", refine_iters=3,
+                         tau=0.5, convert="nn", landmarks="l", landmark_t=0.3)),
+            (["eval", *eval_args], dict(pred="p", gt="g", mesh="m", out="e")),
+            (["diagnose", *pair], DiagnoseConfig(src="a", dst="b")),
+            (["diagnose", *pair, *diagnose_flags],
+             DiagnoseConfig(src="a", dst="b", k=8, desc="xyz", smooth_j=5, smooth_t=1.0,
+                            mu=4.0, out="d", noise=0.2, seed=6)),
+            (["match", *pair, "--out", "c"], MatchConfig(src="a", dst="b", out="c")),
+            (["eval", *eval_args], dict(pred="p", gt="g", mesh="m", out="e")),
+            (["diagnose", *pair], DiagnoseConfig(src="a", dst="b")),
+        ]
+        parser = cli._build_parser()
+        for argv, expected in runs:
+            assert main(argv) == 0
+            assert seen.pop() == expected, argv
+        assert cli._build_parser() is parser
+        capsys.readouterr()
+
+    def test_errors_and_help_are_unchanged_on_a_reused_parser(self, capsys):
+        def run(argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        argvs = [["match", "--src", "a"], ["eval", "--help"], ["diagnose", "--k", "0"]]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [run(argv) for argv in argvs * 2] == fresh * 2   # one parser for all six
+        assert [code for code, _, _ in fresh] == [2, 0, 2]
 
 
 class TestOneDeclaration:

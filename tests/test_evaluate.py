@@ -1,5 +1,8 @@
 """Geodesic-error protocol, accuracy curves, and the error report format."""
 
+import gc
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -200,11 +203,67 @@ class TestBlockedGeodesics:
                  if sources.size > 1 or np.isfinite(limit))
         landmarks, groups = geodesic_calls[:k], geodesic_calls[k:]
         assert 1 <= len(landmarks) <= evaluate._LANDMARKS
-        assert landmarks[0][0][0] == pair.perm[pred != pair.perm][0]
+        assert landmarks[0][0][0] == 0   # seeded from the mesh alone
         searched = np.concatenate([sources for sources, _ in groups])
         assert np.array_equal(np.sort(searched), expected)  # each one exactly once
         assert all(len(sources) <= mesh_module._GEODESIC_BLOCK_ROWS for sources, _ in groups)
         assert all(np.isfinite(limit) for _, limit in groups)  # no re-search here
+
+    def test_landmark_rows_are_searched_once_per_mesh(self, pair, geodesic_calls):
+        n = pair.mesh1.n_vertices
+        pred = wrong_map(pair.perm, n, seed=21)
+        first = geodesic_error(pred, pair.perm, pair.mesh1)
+        rows = evaluate._landmark_rows[pair.mesh1]
+        assert rows.shape == (evaluate._LANDMARKS, n) and not rows.flags.writeable
+        landmark_calls = geodesic_calls[:evaluate._LANDMARKS]
+        assert all(s.size == 1 and np.isinf(limit) for s, limit in landmark_calls)
+        geodesic_calls.clear()
+        assert np.array_equal(geodesic_error(pred, pair.perm, pair.mesh1), first)
+        assert all(s.size > 1 or np.isfinite(limit) for s, limit in geodesic_calls)
+        assert evaluate._landmark_rows[pair.mesh1] is rows
+
+    def test_two_meshes_never_share_landmark_rows(self, pair):
+        n = pair.mesh1.n_vertices
+        pred = wrong_map(pair.perm, n, seed=21)
+        meshes = [pair.mesh1, TriMesh(pair.mesh1.vertices * [1.0, 2.0, 0.5],
+                                      pair.mesh1.triangles)]
+        for mesh in meshes + meshes[::-1]:
+            assert np.array_equal(geodesic_error(pred, pair.perm, mesh),
+                                  dense_errors(pred, pair.perm, mesh))
+        a, b = (evaluate._landmark_rows[mesh] for mesh in meshes)
+        assert not np.shares_memory(a, b) and not np.array_equal(a, b)
+        assert np.array_equal(a[0], graph_geodesics(meshes[0], [0])[0])
+        assert np.array_equal(b[0], graph_geodesics(meshes[1], [0])[0])
+        del meshes[1], b
+        gc.collect()
+        assert list(evaluate._landmark_rows.keys()) == [pair.mesh1]   # dead with its mesh
+
+    def test_threads_share_one_mesh_safely(self, pair):
+        mesh = TriMesh(pair.mesh1.vertices, pair.mesh1.triangles)   # no rows yet
+        preds = [wrong_map(pair.perm, mesh.n_vertices, seed=s) for s in range(4)]
+        results, errors = [None] * 4, []
+
+        def work(t):
+            try:
+                for _ in range(3):
+                    results[t] = geodesic_error(preds[t], pair.perm, mesh)
+            except Exception as exc:   # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for pred, result in zip(preds, results):
+            assert np.array_equal(result, dense_errors(pred, pair.perm, mesh))
+        assert list(evaluate._landmark_rows.keys()) == [mesh]
 
     def test_few_sources_run_one_unbounded_pass(self, pair, geodesic_calls):
         n = pair.mesh1.n_vertices
@@ -271,6 +330,17 @@ class TestEvalCliBytes:
                      "--mesh", str(root / "src.off"), "--out", str(tmp_path / "errors.csv")]) == 0
         assert capsys.readouterr().out == f"mean={reference.mean():.6f}\n"
         assert (tmp_path / "errors.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_cold_and_warm_runs_write_the_same_bytes(self, bumpy_pair, tmp_path, capsys):
+        root, _, _ = bumpy_pair
+        args = ["eval", "--pred", str(root / "wrong.txt"), "--gt", str(root / "gt.txt"),
+                "--mesh", str(root / "src.off"), "--out"]
+        for name in ("cold.csv", "warm.csv"):
+            assert main(args + [str(tmp_path / name)]) == 0
+        assert list(evaluate._landmark_rows.keys()) == [mesh_module.load_mesh(root / "src.off")]
+        cold, warm = capsys.readouterr().out.splitlines()
+        assert cold == warm
+        assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 class TestAccuracyCurve:

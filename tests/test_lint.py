@@ -1,5 +1,6 @@
-"""Every import in the library is used, and every module-level private
-name is read somewhere in it: AST checks, with no linter needed.
+"""Every import in the library is used, every module-level private name
+is read somewhere in it, and every module-level cache is emptied between
+tests: AST checks, with no linter needed.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check.
@@ -83,3 +84,77 @@ def test_the_check_sees_an_unread_private_name():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in Path(fmapkit.__file__).parent.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+# constructors of a cache container, and decorators that memoise a function
+CACHE_TYPES = {"LRU", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary",
+               "dict", "defaultdict"}
+MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _callee(node) -> str | None:
+    """The bare name a call or decorator expression names (`functools.cache` -> cache)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_caches(sources: dict[str, str]) -> list[str]:
+    """Module-level caches: a name bound to a new container (one of
+    CACHE_TYPES or an empty `{}`), or a function memoised by a decorator
+    in MEMO_DECORATORS."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if any(_callee(d) in MEMO_DECORATORS for d in node.decorator_list):
+                    found.append(f"{module}: {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                if (isinstance(value, ast.Dict) and not value.keys) or (
+                        isinstance(value, ast.Call) and _callee(value) in CACHE_TYPES):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{module}: {t.id}" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def emptied_by(source: str, fixture: str) -> set[str]:
+    """`module.py: name` of every `module.name` that function `fixture` reaches.
+
+    Modules are the names it imports `from fmapkit`, under their aliases.
+    """
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name: alias.name
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "fmapkit" for alias in node.names}
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == fixture]
+    return {f"{modules[node.value.id]}.py: {node.attr}" for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_the_check_sees_a_module_cache():
+    sources = {
+        "a.py": "import functools\nfrom ._lru import LRU\n_SIZES = {'a': 1}\n_seen = {}\n"
+                "_hits = LRU(2)\n_rows: dict = weakref.WeakKeyDictionary()\n_saved = []\n"
+                "@functools.cache\ndef _parser():\n    pass\n"
+                "@functools.lru_cache(maxsize=4)\ndef _solve(k):\n    pass\n",
+    }
+    assert module_caches(sources) == ["a.py: _seen", "a.py: _hits", "a.py: _rows",
+                                      "a.py: _parser", "a.py: _solve"]
+    fixture = ("from fmapkit import a as a_module, b\n"
+               "def cold():\n    a_module._hits.clear()\n    b._x.cache_clear()\n")
+    assert emptied_by(fixture, "cold") == {"a.py: _hits", "b.py: _x"}
+
+
+def test_every_module_cache_is_emptied_between_tests():
+    """tests/conftest.py's autouse fixture empties each cache, so no test
+    sees a value an earlier one left."""
+    sources = {p.name: p.read_text() for p in Path(fmapkit.__file__).parent.glob("*.py")}
+    conftest = (Path(__file__).parent / "conftest.py").read_text()
+    caches = module_caches(sources)
+    assert caches   # the check finds the caches it guards
+    assert set(caches) - emptied_by(conftest, "cold_side_cache") == set()

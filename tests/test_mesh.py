@@ -9,6 +9,8 @@ their rows in mesh._table.
 """
 
 import mmap
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +355,106 @@ class TestMeshIO:
         back = load_mesh(path)
         assert back.vertices.tobytes() == mesh.vertices.tobytes()   # bit for bit
         assert np.array_equal(back.triangles, mesh.triangles)
+
+
+def parses(monkeypatch, fmt="off"):
+    """Record each call of the `fmt` parser, which load_mesh runs on a miss."""
+    calls, original = [], mesh_module._PARSERS[fmt]
+
+    def recorded(text, path):
+        calls.append(path)
+        return original(text, path)
+
+    monkeypatch.setitem(mesh_module._PARSERS, fmt, recorded)
+    return calls
+
+
+def same_mesh(a, b) -> bool:
+    return (a.vertices.tobytes() == b.vertices.tobytes()
+            and np.array_equal(a.triangles, b.triangles))
+
+
+class TestMeshCache:
+    """load_mesh parses each file text once while it is among the most
+    recently loaded, whatever the path."""
+
+    def test_same_bytes_at_two_paths_are_one_mesh(self, tmp_path, ico162, monkeypatch):
+        calls = parses(monkeypatch)
+        save_mesh(ico162, tmp_path / "a.off")
+        (tmp_path / "b.off").write_bytes((tmp_path / "a.off").read_bytes())
+        first = load_mesh(tmp_path / "a.off")
+        assert load_mesh(tmp_path / "b.off") is first
+        assert load_mesh(str(tmp_path / "a.off")) is first
+        assert calls == [tmp_path / "a.off"]
+        assert first.edge_graph() is load_mesh(tmp_path / "b.off").edge_graph()
+
+    def test_the_format_is_part_of_the_key(self, tmp_path, ico162):
+        save_mesh(ico162, tmp_path / "a.off")
+        text = (tmp_path / "a.off").read_text()
+        (tmp_path / "a.ply").write_text(text)   # OFF text under a PLY name
+        load_mesh(tmp_path / "a.off")
+        with pytest.raises(ParseError, match="a.ply"):
+            load_mesh(tmp_path / "a.ply")
+
+    def test_a_rewritten_file_misses_and_equals_a_cold_parse(self, tmp_path, ico162):
+        path = tmp_path / "m.off"
+        save_mesh(ico162, path)
+        before = load_mesh(path)
+        save_mesh(synth.bumpy_sphere(2), path)   # same path and vertex count
+        after = load_mesh(path)
+        assert after is not before and not same_mesh(after, before)
+        cold = mesh_module._parse_off(path.read_text(), path)
+        assert same_mesh(after, cold)
+        assert np.array_equal(after.edge_graph().toarray(), cold.edge_graph().toarray())
+
+    def test_a_parse_failure_is_not_cached(self, tmp_path, monkeypatch):
+        calls = parses(monkeypatch)
+        bad_text = "OFF\n5 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        for name in ("a.off", "b.off", "a.off"):
+            (tmp_path / name).write_text(bad_text)
+            with pytest.raises(ParseError, match=name):   # each error names its own file
+                load_mesh(tmp_path / name)
+        assert len(calls) == 3 and len(mesh_module._meshes) == 0
+
+    def test_size_is_bounded_and_least_recently_used_goes_first(self, tmp_path,
+                                                                monkeypatch):
+        calls = parses(monkeypatch)
+        for i, mesh in enumerate((synth.tetrahedron(), synth.kite_45(), synth.icosphere(1))):
+            save_mesh(mesh, tmp_path / f"{i}.off")
+        for i in (0, 1, 0, 2, 0, 1):
+            load_mesh(tmp_path / f"{i}.off")
+            assert len(mesh_module._meshes) <= mesh_module.MESH_CACHE_SIZE
+        # 2 evicts 1 (0 was used since), so only the last load of 1 parses again
+        assert [p.name for p in calls] == ["0.off", "1.off", "2.off", "1.off"]
+
+    def test_threads_share_the_cache_safely(self, tmp_path):
+        meshes = [synth.tetrahedron(), synth.kite_45(), synth.square_diagonal()]
+        for i, mesh in enumerate(meshes):
+            save_mesh(mesh, tmp_path / f"{i}.off")
+        errors, wrong = [], []
+
+        def work(offset):
+            try:
+                for i in range(1000):
+                    j = (i + offset) % 3
+                    if not same_mesh(load_mesh(tmp_path / f"{j}.off"), meshes[j]):
+                        wrong.append(j)
+            except Exception as exc:   # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (errors, wrong) == ([], [])
+        assert len(mesh_module._meshes) <= mesh_module.MESH_CACHE_SIZE
 
 
 class TestMatrixIO:

@@ -1,5 +1,5 @@
-"""The bounded least-recently-used map behind the process-wide caches:
-`mesh.load_mesh`'s parsed meshes and `cli`'s eigenbases."""
+"""The bounded least-recently-used map behind fmapkit's caches: the parsed
+meshes of `mesh.load_mesh` and each mesh's derived values (`mesh.derived`)."""
 
 from __future__ import annotations
 

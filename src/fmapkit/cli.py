@@ -7,34 +7,32 @@ by every later one in the process.
 A caller that runs commands in one process against a recurring shape
 prepares it once. Every command loads meshes through mesh.load_mesh, which
 parses a file text once while it is among the MESH_CACHE_SIZE most recently
-loaded, and `eval` keeps each mesh's landmark rows while the mesh lives.
-`match` and `diagnose` keep the eigenbases of the BASIS_CACHE_SIZE most
-recently solved shapes, keyed on the mesh content and the basis size only,
-so a basis is solved once whatever the descriptor options. Descriptors are
-rebuilt on every call; separate processes share nothing. A cold and a warm
-cache give the same output bytes.
+loaded, and keeps what is derived from a mesh with it (mesh.derived):
+`match` and `diagnose` its eigenbasis, for the last basis size only, so a
+basis is solved once whatever the descriptor options; `eval` its landmark
+rows. Descriptors are rebuilt on every call; separate processes share
+nothing. A cold and a warm cache give the same output bytes.
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, out-of-range
 values, k exceeding the vertex count), 3 for data problems (parse failures,
 degenerate meshes, disconnected components, rank or eigensolver failures).
 Given identical inputs and flags, every command writes byte-identical outputs
 at any BLAS thread count where fmapkit controls the BLAS (OpenBLAS; see
-fmapkit._blas), and at a fixed thread count elsewhere. The bits still depend
-on the numpy/scipy/OpenBLAS build and on the CPU kernel OpenBLAS selects.
+fmapkit._blas), and at a fixed thread count elsewhere. That holds per
+numpy/scipy/OpenBLAS build and per CPU kernel OpenBLAS selects: on another
+kernel the `.report` floats differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._lru import LRU
 from .descriptors import (
     concat_features,
     default_hks_times,
@@ -50,7 +48,7 @@ from .diagnostics import build_structure_report, theorem_oracle
 from .errors import FmapError, InvalidK
 from .evaluate import geodesic_error, write_error_report
 from .fmap import DEFAULT_MU, DEFAULT_TAU, convert_adjoint, convert_feature_nn, solve_fmap
-from .mesh import load_correspondence, load_mesh, read_table, save_correspondence
+from .mesh import derived, load_correspondence, load_mesh, read_table, save_correspondence
 from .refine import refine_proper
 from .spectral import SpectralBasis, build_laplacian, eigenbasis, smooth_features, _smoothing_size
 
@@ -111,30 +109,19 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t):
     return concat_features(parts)
 
 
-# Eigenbases of the most recently solved shapes. Two cover a loop that
-# matches one fixed shape against a stream of others.
-BASIS_CACHE_SIZE = 2
-_bases = LRU(BASIS_CACHE_SIZE)
-
-
 def _basis(mesh, size: int) -> SpectralBasis:
-    """The mesh's first `size` eigenpairs, solved once while cached.
+    """The mesh's first `size` eigenpairs, read-only, kept with the mesh.
 
-    Keyed on the mesh content (not its path or mtime) and the size; the
-    arrays are read-only. Threads share the cache; one basis is solved at a time.
+    A mesh keeps one basis (mesh.derived): asked again for that size it is
+    reused, whatever the descriptor options; another size is solved anew.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for arr in (mesh.vertices, mesh.triangles):
-        h.update(f"{arr.dtype.str}{arr.shape}".encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-
     def solve():
         basis = eigenbasis(build_laplacian(mesh), size)
         for arr in (basis.lam, basis.phi, basis.mass):
             arr.flags.writeable = False
         return basis
 
-    return _bases.get((h.digest(), size), solve)
+    return derived(mesh, "basis", size, solve)
 
 
 def _prepare_side(mesh, cfg: _PairConfig, landmarks=(), landmark_t=None):

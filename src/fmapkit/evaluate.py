@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
 from . import mesh as _mesh
-from .mesh import TriMesh, _fmt, graph_geodesics
+from .mesh import TriMesh, _fmt, derived, graph_geodesics
 
 _LANDMARKS = 32        # farthest-point landmarks whose rows bound each miss's distance
 _BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
-
-# Each mesh's landmark rows (_landmarks), dropped when the mesh is.
-_landmark_rows: weakref.WeakKeyDictionary[TriMesh, np.ndarray] = weakref.WeakKeyDictionary()
 
 
 def _indices(m) -> np.ndarray:
@@ -32,10 +28,9 @@ def _landmarks(mesh: TriMesh) -> np.ndarray:
     The landmarks are picked by farthest-point sampling from vertex 0, one
     single-source search each, so they depend on the mesh alone. The
     (min(_LANDMARKS, n), n) rows are searched on the mesh's first use and
-    kept while the mesh lives: 656 KB at n = 2562, 42 MB at n = 163842.
+    kept with it (mesh.derived): 656 KB at n = 2562, 42 MB at n = 163842.
     """
-    rows = _landmark_rows.get(mesh)
-    if rows is None:
+    def search():
         n = mesh.n_vertices
         mesh.edge_graph()  # first, so its temporaries never meet the rows
         rows = np.empty((min(_LANDMARKS, n), n))
@@ -46,8 +41,9 @@ def _landmarks(mesh: TriMesh) -> np.ndarray:
             np.minimum(nearest, row, out=nearest)
             landmark = int(np.argmax(nearest))
         rows.flags.writeable = False
-        rows = _landmark_rows.setdefault(mesh, rows)
-    return rows
+        return rows
+
+    return derived(mesh, "landmarks", None, search)
 
 
 def _landmark_bounds(mesh: TriMesh, g: np.ndarray, p: np.ndarray) -> np.ndarray:

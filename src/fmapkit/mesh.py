@@ -14,13 +14,15 @@ _file_text is the one place a file is read.
 load_mesh keeps the MESH_CACHE_SIZE most recently loaded meshes of the
 process, keyed on the format and the text read, so a file loaded again
 (under any path) is parsed and validated once and its TriMesh, with its
-memoised edge graph, is shared.
+memoised edge graph, is shared. `derived` keeps with each mesh what later
+steps derive from it (its eigenbasis, eval's landmark rows).
 """
 
 from __future__ import annotations
 
 import hashlib
 import mmap
+import weakref
 from itertools import islice
 from pathlib import Path
 
@@ -41,6 +43,9 @@ _GEODESIC_BLOCK_ROWS = 32  # sources per Dijkstra call when a larger table is as
 # one fixed shape against a stream of others.
 MESH_CACHE_SIZE = 2
 _meshes = LRU(MESH_CACHE_SIZE)
+
+# Per mesh, one LRU(1) per kind of derived value (see derived).
+_derived: weakref.WeakKeyDictionary[TriMesh, dict[str, LRU]] = weakref.WeakKeyDictionary()
 
 
 def _fmt(x: float) -> str:
@@ -181,6 +186,17 @@ class TriMesh:
             a.flags.writeable = False
         self._graph = (g, parts)
         return g
+
+
+def derived(mesh: TriMesh, kind: str, param, build):
+    """The value of `kind` derived from `mesh` with `param`, or build() kept as it.
+
+    A mesh keeps one value per kind in an LRU(1): another `param` drops it
+    before the build, and a build that raises keeps nothing. Threads agree
+    on that LRU (each setdefault is one atomic dict operation). The values
+    die with the mesh, so none may refer to it.
+    """
+    return _derived.setdefault(mesh, {}).setdefault(kind, LRU(1)).get(param, build)
 
 
 def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:

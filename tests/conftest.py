@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fmapkit import _blas, cli, evaluate, mesh as mesh_module, synth
+from fmapkit import _blas, cli, mesh as mesh_module, synth
 from fmapkit.spectral import build_laplacian, eigenbasis
 
 K = 30
@@ -29,10 +29,9 @@ def cold_side_cache():
 
     tests/test_lint.py checks that each module-level cache is named here.
     """
-    cli._bases.clear()
     cli._build_parser.cache_clear()
     mesh_module._meshes.clear()
-    evaluate._landmark_rows.clear()
+    mesh_module._derived.clear()
     _blas._controls.cache_clear()
 
 

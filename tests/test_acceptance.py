@@ -7,8 +7,8 @@ produced by the seeded fixtures; those pins double as determinism checks.
 They hold at any OpenBLAS thread count, because fmapkit runs its BLAS and
 LAPACK work single-threaded (tests/test_blas.py compares 1 and 2 threads);
 with a BLAS fmapkit cannot control they hold only at a fixed thread count.
-They are tied to the numpy/scipy/OpenBLAS build and to the CPU kernel that
-OpenBLAS selects.
+They are tied to the numpy/scipy/OpenBLAS build; those that also depend on
+the CPU kernel OpenBLAS selects hold one value per kernel (tests/pins.py).
 """
 
 import sys
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from oracles import brute_nn, fd_gradient
+from pins import COMPLETENESS2, NOISY_TRACE, pinned
 
 from fmapkit.cli import main
 from fmapkit.diagnostics import (
@@ -38,23 +39,9 @@ from fmapkit.mesh import TriMesh
 from fmapkit.refine import refine_proper
 from fmapkit.spectral import eigen_residuals, eigenbasis, smooth_features
 
-# refinement trace of the seeded noisy-start fixture (criterion 7)
-PINNED_TRACE = [
-    7.954667664447678,
-    0.07807151933595174,
-    0.016367384353833333,
-    0.004639617788321318,
-    0.0016407904687774349,
-    0.0006473822914610058,
-    0.00027216094785719987,
-    0.0001211229308643503,
-    5.688478062433634e-05,
-    2.7974495771932215e-05,
-]
-PINNED_NOISY_INIT_ERR = 0.4589985631962465
+PINNED_NOISY_INIT_ERR = 0.4589985631962465  # criterion 7
 
 # incomplete-feature fixture (criterion 4)
-PINNED_COMPLETENESS2 = 0.8590161478528255
 PINNED_AGREEMENT = 0.9953271028037384
 
 
@@ -123,7 +110,7 @@ def test_criterion_04_incompleteness_breaks_agreement(pair, incomplete_features)
     assert v.completeness2 <= 0.9
     assert v.agreement < 1.0
     # exact pins from the seeded fixture; equality doubles as determinism
-    assert v.completeness2 == PINNED_COMPLETENESS2
+    assert v.completeness2 == pinned(COMPLETENESS2)
     assert v.agreement == PINNED_AGREEMENT
     _pass(4, f"completeness2={v.completeness2:.6f}, "
              f"agreement={v.agreement:.10f} (pinned, 3/642 rows differ)")
@@ -180,7 +167,7 @@ def test_criterion_07_properness_refinement_improves(pair):
     ).mean()
     assert np.all(np.diff(trace) <= 0)
     assert final_err <= init_err
-    assert trace.tolist() == PINNED_TRACE
+    assert trace.tolist() == pinned(NOISY_TRACE)
     assert float(init_err) == PINNED_NOISY_INIT_ERR
     assert float(final_err) == 0.0
     _pass(7, f"monotone 10-step trace pinned, error "

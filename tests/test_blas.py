@@ -433,6 +433,18 @@ REFERENCE_TESTS = [
     "test_diagnostics.py::TestRankAndDistinctness::test_nn_distinctness_is_exact_on_symmetric_ties",
 ]
 
+# tests that pin an exact float per kernel (tests/pins.py)
+PINNED_TESTS = [
+    "test_acceptance.py::test_criterion_04_incompleteness_breaks_agreement",
+    "test_acceptance.py::test_criterion_07_properness_refinement_improves",
+    "test_refine.py::TestRefineProper::test_noisy_start_trace_pinned",
+    "test_refine.py::TestRefineProper::test_feature_mode_builds_one_soft_map",
+]
+KERNEL_TESTS_PASSED = "22 passed"   # 17 reference and 5 pinned test cases
+
+OTHER_KERNELS = pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"),
+                                                           ("Sandybridge", "avx")])
+
 
 def _cpu_flags() -> set:
     try:
@@ -443,15 +455,27 @@ def _cpu_flags() -> set:
             for flag in line.partition(":")[2].split()}
 
 
-@no_blas_control
-@pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"), ("Sandybridge", "avx")])
-def test_references_hold_on_other_kernels_at_two_threads(coretype, flag):
+def _run_on_kernel(coretype: str, flag: str, threads: int) -> None:
+    """Run the reference and pinned tests in a child on kernel `coretype`."""
     if flag not in _cpu_flags():
         pytest.skip(f"the {coretype} kernel needs {flag}")
     tests = Path(__file__).resolve().parent
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *REFERENCE_TESTS],
-        cwd=tests, env=_child_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_CORETYPE=coretype),
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *REFERENCE_TESTS, *PINNED_TESTS],
+        cwd=tests, env=_child_env(OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_CORETYPE=coretype),
         capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0 and "17 passed" in proc.stdout, proc.stdout[-4000:]
+    assert proc.returncode == 0 and KERNEL_TESTS_PASSED in proc.stdout, proc.stdout[-4000:]
+
+
+@no_blas_control
+@OTHER_KERNELS
+def test_references_hold_on_other_kernels_at_two_threads(coretype, flag):
+    _run_on_kernel(coretype, flag, threads=2)
+
+
+@no_blas_control
+@OTHER_KERNELS
+def test_references_hold_on_other_kernels_at_one_thread(coretype, flag):
+    _run_on_kernel(coretype, flag, threads=1)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import fmapkit
-from fmapkit import cli, diagnostics, refine, spectral, synth
+from fmapkit import cli, diagnostics, evaluate, mesh as mesh_module, refine, spectral, synth
 from fmapkit.cli import (
     DiagnoseConfig,
     MatchConfig,
@@ -28,7 +29,7 @@ from fmapkit.cli import (
 )
 from fmapkit.errors import InvalidK
 from fmapkit.fmap import convert_adjoint
-from fmapkit.mesh import load_mesh, save_correspondence, save_mesh
+from fmapkit.mesh import TriMesh, load_mesh, save_correspondence, save_mesh
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +78,18 @@ def key_values(text):
     return dict(line.split("=", 1) for line in text.strip().splitlines() if "=" in line)
 
 
+def held_bases() -> int:
+    """Eigenbases the live meshes hold (one at most each)."""
+    return sum(len(memo["basis"]) for memo in mesh_module._derived.values() if "basis" in memo)
+
+
 def spy(monkeypatch, module, name):
     """Replace module.name by a pass-through that records, per call, how many
-    eigenbases were cached when it ran."""
+    eigenbases the live meshes held when it ran."""
     calls, original = [], getattr(module, name)
 
     def recorded(*args, **kwargs):
-        calls.append(len(cli._bases))
+        calls.append(held_bases())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorded)
@@ -355,7 +361,7 @@ class TestExitCodes:
 
 class TestSideCache:
     """A shape's eigenbasis is solved once and reused, with the bytes a fresh
-    preparation gives; only the mesh content and the basis size key it."""
+    preparation gives; it is kept with its mesh, for one basis size."""
 
     @pytest.mark.parametrize("argv", [
         ["match"],
@@ -406,7 +412,8 @@ class TestSideCache:
             assert solved(replace(cfg, smooth_j=600)) == 4
         assert len(record) == 2
 
-    def test_mesh_rewritten_in_place_misses(self, small_pair, tmp_path):
+    def test_mesh_rewritten_in_place_misses(self, small_pair, tmp_path, monkeypatch):
+        solves = spy(monkeypatch, cli, "eigenbasis")
         src = tmp_path / "src.off"
 
         def match(out):
@@ -418,9 +425,11 @@ class TestSideCache:
         before = match("before.txt")
         save_mesh(synth.bumpy_sphere(2), src)   # same path and vertex count
         after = match("after.txt")
-        cli._bases.clear()
+        assert len(solves) == 3    # the rewritten source only
+        mesh_module._meshes.clear()   # both meshes go, and their bases with them
         assert after == match("cold.txt")
         assert after != before
+        assert len(solves) == 5
 
     def test_cached_arrays_are_read_only(self, small_pair):
         basis = cli._basis(load_mesh(small_pair.src), 30)
@@ -442,10 +451,9 @@ class TestSideCache:
         mesh = load_mesh(small_pair.src)
         for j in (40, 50, 40, 60, 40, 70):
             cli._prepare_side(mesh, DiagnoseConfig(src="a", dst="b", smooth_j=j))
-            assert len(cli._bases) <= cli.BASIS_CACHE_SIZE
-        # least recently used goes first, so j = 40 is never evicted
-        assert len(solves) == 4
-        assert max(solves) == cli.BASIS_CACHE_SIZE - 1
+            assert held_bases() == 1
+        # a mesh keeps one basis: each new size drops it before its own solve
+        assert solves == [0] * 6
 
     def test_threads_share_the_cache_safely(self, monkeypatch):
         # stand-in solve on a 4-vertex mesh, so the threads spend their time
@@ -478,7 +486,18 @@ class TestSideCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert (errors, wrong) == ([], [])
-        assert len(cli._bases) <= cli.BASIS_CACHE_SIZE
+        assert held_bases() <= 1
+
+    def test_derived_values_die_with_their_mesh(self, small_pair, tmp_path):
+        mesh = load_mesh(small_pair.src)
+        refs = [weakref.ref(cli._basis(mesh, 30)), weakref.ref(evaluate._landmarks(mesh))]
+        del mesh
+        assert all(ref() is not None for ref in refs)   # kept while the mesh is loaded
+        ico = synth.icosphere(1)
+        for i in range(mesh_module.MESH_CACHE_SIZE):    # evicts the first mesh
+            save_mesh(TriMesh(ico.vertices * (i + 2), ico.triangles), tmp_path / f"{i}.off")
+            load_mesh(tmp_path / f"{i}.off")
+        assert [ref() for ref in refs] == [None, None]
 
     def test_match_and_diagnose_of_a_pair_share_its_bases(self, small_pair, tmp_path,
                                                           monkeypatch):

@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -213,14 +214,14 @@ class TestBlockedGeodesics:
         n = pair.mesh1.n_vertices
         pred = wrong_map(pair.perm, n, seed=21)
         first = geodesic_error(pred, pair.perm, pair.mesh1)
-        rows = evaluate._landmark_rows[pair.mesh1]
-        assert rows.shape == (evaluate._LANDMARKS, n) and not rows.flags.writeable
         landmark_calls = geodesic_calls[:evaluate._LANDMARKS]
         assert all(s.size == 1 and np.isinf(limit) for s, limit in landmark_calls)
         geodesic_calls.clear()
         assert np.array_equal(geodesic_error(pred, pair.perm, pair.mesh1), first)
+        rows = evaluate._landmarks(pair.mesh1)
+        assert rows.shape == (evaluate._LANDMARKS, n) and not rows.flags.writeable
         assert all(s.size > 1 or np.isfinite(limit) for s, limit in geodesic_calls)
-        assert evaluate._landmark_rows[pair.mesh1] is rows
+        assert evaluate._landmarks(pair.mesh1) is rows
 
     def test_two_meshes_never_share_landmark_rows(self, pair):
         n = pair.mesh1.n_vertices
@@ -230,15 +231,16 @@ class TestBlockedGeodesics:
         for mesh in meshes + meshes[::-1]:
             assert np.array_equal(geodesic_error(pred, pair.perm, mesh),
                                   dense_errors(pred, pair.perm, mesh))
-        a, b = (evaluate._landmark_rows[mesh] for mesh in meshes)
+        a, b = (evaluate._landmarks(mesh) for mesh in meshes)
         assert not np.shares_memory(a, b) and not np.array_equal(a, b)
         assert np.array_equal(a[0], graph_geodesics(meshes[0], [0])[0])
         assert np.array_equal(b[0], graph_geodesics(meshes[1], [0])[0])
-        del meshes[1], b
+        dead, kept = weakref.ref(b), weakref.ref(a)
+        del meshes[1], a, b
         gc.collect()
-        assert list(evaluate._landmark_rows.keys()) == [pair.mesh1]   # dead with its mesh
+        assert dead() is None and kept() is not None   # each dies with its own mesh
 
-    def test_threads_share_one_mesh_safely(self, pair):
+    def test_threads_share_one_mesh_safely(self, pair, geodesic_calls):
         mesh = TriMesh(pair.mesh1.vertices, pair.mesh1.triangles)   # no rows yet
         preds = [wrong_map(pair.perm, mesh.n_vertices, seed=s) for s in range(4)]
         results, errors = [None] * 4, []
@@ -261,9 +263,13 @@ class TestBlockedGeodesics:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
+        threaded = len(geodesic_calls)
+        geodesic_calls.clear()
         for pred, result in zip(preds, results):
+            assert np.array_equal(result, geodesic_error(pred, pair.perm, mesh))
             assert np.array_equal(result, dense_errors(pred, pair.perm, mesh))
-        assert list(evaluate._landmark_rows.keys()) == [mesh]
+        # the landmarks were searched once among all threads
+        assert threaded == evaluate._LANDMARKS + 3 * len(geodesic_calls)
 
     def test_few_sources_run_one_unbounded_pass(self, pair, geodesic_calls):
         n = pair.mesh1.n_vertices
@@ -331,13 +337,19 @@ class TestEvalCliBytes:
         assert capsys.readouterr().out == f"mean={reference.mean():.6f}\n"
         assert (tmp_path / "errors.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    def test_cold_and_warm_runs_write_the_same_bytes(self, bumpy_pair, tmp_path, capsys):
+    def test_cold_and_warm_runs_write_the_same_bytes(self, bumpy_pair, tmp_path, capsys,
+                                                      geodesic_calls):
         root, _, _ = bumpy_pair
         args = ["eval", "--pred", str(root / "wrong.txt"), "--gt", str(root / "gt.txt"),
                 "--mesh", str(root / "src.off"), "--out"]
+        calls = []
         for name in ("cold.csv", "warm.csv"):
             assert main(args + [str(tmp_path / name)]) == 0
-        assert list(evaluate._landmark_rows.keys()) == [mesh_module.load_mesh(root / "src.off")]
+            calls.append(geodesic_calls[:])
+            geodesic_calls.clear()
+        # the warm run makes the cold run's searches but the landmark ones
+        searches = [[(s.tolist(), limit) for s, limit in run] for run in calls]
+        assert searches[0][evaluate._LANDMARKS:] == searches[1]
         cold, warm = capsys.readouterr().out.splitlines()
         assert cold == warm
         assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pins import FEATURE_RESIDUAL, NOISY_TRACE, pinned
+
 from fmapkit import _blas, refine
 from fmapkit.errors import LengthMismatch, MissingFeatures
 from fmapkit.evaluate import geodesic_error
@@ -14,20 +16,6 @@ from fmapkit.fmap import (
     soft_map,
 )
 from fmapkit.refine import refine_proper, write_trace
-
-# refinement from C_gt + 0.1 * N(0,1) noise (seed 17), default tau, 10 iters
-NOISY_TRACE = [
-    7.954667664447678,
-    0.07807151933595174,
-    0.016367384353833333,
-    0.004639617788321318,
-    0.0016407904687774349,
-    0.0006473822914610058,
-    0.00027216094785719987,
-    0.0001211229308643503,
-    5.688478062433634e-05,
-    2.7974495771932215e-05,
-]
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +27,7 @@ def noisy_start(pair):
 class TestRefineProper:
     def test_noisy_start_trace_pinned(self, pair, noisy_start):
         _, trace = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
-        assert trace.tolist() == NOISY_TRACE
+        assert trace.tolist() == pinned(NOISY_TRACE)
 
     def test_trace_non_increasing(self, pair, noisy_start):
         _, trace = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
@@ -87,7 +75,7 @@ class TestRefineProper:
         C, trace = refine_proper(np.zeros((30, 30)), pair.basis1, pair.basis2,
                                  iters=iters, mode="feature", F1=F1, F2=F2)
         # the second iterate rebuilds the same soft map: residual exactly 0.0
-        assert trace.tolist() == [29.36850892094038, 0.0][:iters]
+        assert trace.tolist() == [pinned(FEATURE_RESIDUAL), 0.0][:iters]
         assert len(calls) == 1
         C_ref = properness_project(soft_map(F1, F2), pair.basis1, pair.basis2)
         assert np.array_equal(C, C_ref)

@@ -13,7 +13,6 @@ import numpy as np
 
 from fmapkit import synth
 from fmapkit.diagnostics import theorem_oracle
-from fmapkit.mesh import _fmt
 from fmapkit.spectral import build_laplacian, eigenbasis
 
 
@@ -51,7 +50,7 @@ def main(argv=None):
 
     if args.out:
         lines = ["level,completeness2,agreement,fmap_residual"]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
+        lines += [",".join(repr(float(x)) for x in row) for row in rows]
         Path(args.out).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0

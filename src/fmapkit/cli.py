@@ -14,8 +14,9 @@ rows. Descriptors are rebuilt on every call; separate processes share
 nothing. A cold and a warm cache give the same output bytes.
 
 Exit codes: 0 on success, 2 for usage problems (bad flags, out-of-range
-values, k exceeding the vertex count), 3 for data problems (parse failures,
-degenerate meshes, disconnected components, rank or eigensolver failures).
+or infinite values, k exceeding the vertex count), 3 for data problems
+(parse failures, degenerate meshes, disconnected components, rank or
+eigensolver failures) and for an output file that cannot be written.
 Given identical inputs and flags, every command writes byte-identical outputs
 at any BLAS thread count where fmapkit controls the BLAS (OpenBLAS; see
 fmapkit._blas), and at a fixed thread count elsewhere. That holds per
@@ -198,8 +199,8 @@ def _checked(kind, ok, bound):
 
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "> 0")
 _NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: v > 0, "> 0")
-_NONNEG = _checked(float, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_NONNEG = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 
 
 def _help_with_defaults(config) -> type[argparse.HelpFormatter]:
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"fmapkit: out of memory: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:   # inputs are read through ParseError, so this is an output
+        print(f"fmapkit: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import AllEigenvaluesExcluded, IndexOutOfRange, LengthMismatch
 from .mesh import TriMesh
-from .spectral import SpectralBasis, diffuse
+from .spectral import SpectralBasis, _feature_values, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
 EIG_CUTOFF = 1e-8
@@ -23,10 +23,8 @@ def concat_features(parts: list[np.ndarray]) -> np.ndarray:
     """Column-concatenate (n, d_i) descriptor arrays into one (n, sum d_i) array."""
     if not parts:
         raise LengthMismatch("nothing to concatenate")
-    parts = [np.asarray(p, dtype=np.float64) for p in parts]
+    parts = [_feature_values(p) for p in parts]
     for p in parts:
-        if p.ndim != 2:
-            raise LengthMismatch(f"feature values must be (n, d), got {p.shape}")
         if len(p) != len(parts[0]):
             raise LengthMismatch(f"row counts differ: {len(parts[0])} vs {len(p)}")
     return np.hstack(parts)
@@ -130,10 +128,7 @@ def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float) -> np.ndarra
 
 def project_coeffs(basis: SpectralBasis, features) -> np.ndarray:
     """Spectral coefficients A = Phi^T M F, shape (k, d)."""
-    values = np.asarray(features)
-    if values.ndim != 2:
-        raise LengthMismatch(f"expected (n, d) features, got shape {values.shape}")
-    return basis.project(values)
+    return basis.project(_feature_values(features))
 
 
 def normalize_columns(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -141,7 +136,7 @@ def normalize_columns(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
     Zero columns are left untouched: they carry no information either way.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _feature_values(values)
     norms = np.sqrt(np.einsum("n,nd->d", mass, values ** 2))
     return values / np.where(norms == 0, 1.0, norms)
 

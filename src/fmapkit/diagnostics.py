@@ -23,13 +23,12 @@ from .fmap import (
     convert_feature_nn,
     loss_properness,
     properness_project,
-    _feature_values,
     _nearest,
     _pull_back,
     _sq_dist,
 )
 from .mesh import _fmt
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _feature_values
 
 ORACLE_TOL = 1e-8
 N_PROBE_MAPS = 10   # random hard maps the oracle checks the energy identity on

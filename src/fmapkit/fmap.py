@@ -17,7 +17,7 @@ import numpy as np
 from . import _blas
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _feature_values
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -43,13 +43,6 @@ def _check_rows(rows: np.ndarray) -> None:
         )
 
 
-def _feature_values(f) -> np.ndarray:
-    values = np.asarray(f, dtype=np.float64)
-    if values.ndim != 2:
-        raise LengthMismatch(f"expected (n, d) array, got shape {values.shape}")
-    return values
-
-
 @single_threaded()
 def solve_fmap(A1: np.ndarray, A2: np.ndarray,
                lam1: np.ndarray | None = None, lam2: np.ndarray | None = None,
@@ -65,9 +58,8 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
     rank: a Gram matrix singular beyond a 1e-10 relative eigenvalue
     threshold raises RankDeficient.
     """
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    if A1.ndim != 2 or A2.ndim != 2 or A1.shape[1] != A2.shape[1]:
+    A1, A2 = _feature_values(A1), _feature_values(A2)
+    if A1.shape[1] != A2.shape[1]:
         raise LengthMismatch(
             f"coefficient shapes {A1.shape} and {A2.shape} do not share d"
         )
@@ -199,8 +191,7 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     answer does not depend on how the BLAS kernel rounds (a classical
     GEMM is assumed, no Strassen-like product).
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
+    queries, points = _feature_values(queries), _feature_values(points)
     if queries.shape[1] != points.shape[1]:
         raise LengthMismatch(
             f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"

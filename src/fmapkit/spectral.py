@@ -54,6 +54,14 @@ SPARSE_K_RATIO = 8
 SPARSE_SHIFT = 1e-8
 
 
+def _feature_values(f) -> np.ndarray:
+    """A descriptor stack as a float64 (n, d) array; any other shape is LengthMismatch."""
+    values = np.asarray(f, dtype=np.float64)
+    if values.ndim != 2:
+        raise LengthMismatch(f"expected (n, d) array, got shape {values.shape}")
+    return values
+
+
 @dataclass
 class LaplacianPair:
     """Stiffness matrix W (sparse, symmetric, PSD) and lumped mass vector."""
@@ -278,10 +286,7 @@ def smooth_features(basis: SpectralBasis, values: np.ndarray, t: float) -> np.nd
     this basis by construction (completeness 1 up to rounding), whatever the
     input was.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"feature stack must be 2-D, got shape {values.shape}")
-    return diffuse(basis, values, t)
+    return diffuse(basis, _feature_values(values), t)
 
 
 def eigen_residuals(lap: LaplacianPair, basis: SpectralBasis) -> np.ndarray:

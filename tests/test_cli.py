@@ -342,6 +342,11 @@ class TestExitCodes:
         ("match", ["--k", "0"]),
         ("match", ["--smooth-j", "0"]),
         ("diagnose", ["--k", "-1"]),
+        ("match", ["--tau", "inf"]),
+        ("match", ["--mu", "inf"]),
+        ("match", ["--smooth-t", "inf"]),
+        ("match", ["--landmark-t", "inf", "--landmarks", "lm.txt"]),
+        ("diagnose", ["--noise", "inf"]),
     ])
     def test_out_of_range_value_is_usage_error(self, small_pair, tmp_path, capsys,
                                                command, flags):
@@ -353,6 +358,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flags[0]}: must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["match", "eval", "diagnose"])
+    def test_unwritable_output_is_data_error(self, small_pair, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "o.txt"
+        if command == "eval":
+            gt = tmp_path / "gt.txt"
+            save_correspondence(small_pair.perm, gt)
+            argv = ["eval", "--pred", str(gt), "--gt", str(gt), "--mesh", str(small_pair.src)]
+        else:
+            argv = [command, "--src", str(small_pair.src), "--dst", str(small_pair.dst)]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"fmapkit: cannot write {out}: ")
 
     def test_bad_choice_raises_systemexit(self, small_pair, tmp_path):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ Each script's main() is loaded from its file and run with --subdivisions 2;
 a script that writes a file writes it under tmp_path.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -36,3 +37,19 @@ def test_script_runs(name, tmp_path, capsys):
     assert capsys.readouterr().out
     if OUT_FLAG[name]:
         assert (tmp_path / f"{name}.csv").read_text()
+
+
+def test_scripts_import_only_public_names():
+    """A script shows the public API: it imports no `_`-prefixed fmapkit name."""
+    private = []
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names if name.startswith("fmapkit")
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []

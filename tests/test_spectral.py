@@ -19,9 +19,10 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import oracles as orc
 from fmapkit import spectral, synth
 from fmapkit._blas import single_threaded
-from fmapkit.descriptors import project_coeffs
-from fmapkit.diagnostics import measure_completeness
+from fmapkit.descriptors import concat_features, normalize_columns, project_coeffs
+from fmapkit.diagnostics import measure_completeness, nn_distinctness
 from fmapkit.errors import InvalidK, LengthMismatch, SolverFailure
+from fmapkit.fmap import convert_feature_nn, nearest_rows, soft_map, solve_fmap
 from fmapkit.mesh import TriMesh
 from fmapkit.spectral import (
     LaplacianPair,
@@ -297,8 +298,35 @@ class TestDiffusion:
 
     def test_smooth_features_rejects_1d(self, ico162):
         basis = eigenbasis(build_laplacian(ico162), 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch):
             smooth_features(basis, np.zeros(162), 0.1)
+
+
+# Every public function that takes a descriptor stack, called with `x` in that
+# stack's place and well-formed arguments elsewhere (k = 20, n = 162).
+STACK_TAKERS = {
+    "smooth_features": lambda b, x: smooth_features(b, x, 0.1),
+    "normalize_columns": lambda b, x: normalize_columns(x, b.mass),
+    "project_coeffs": lambda b, x: project_coeffs(b, x),
+    "concat_features": lambda b, x: concat_features([b.phi, x]),
+    "nearest_rows": lambda b, x: nearest_rows(x, b.phi),
+    "convert_feature_nn": lambda b, x: convert_feature_nn(b.phi, x),
+    "soft_map": lambda b, x: soft_map(x, b.phi),
+    "solve_fmap": lambda b, x: solve_fmap(x, np.eye(20), b.lam, b.lam),
+    "nn_distinctness": lambda b, x: nn_distinctness(x),
+    "measure_completeness": lambda b, x: measure_completeness(b, x),
+}
+
+
+@pytest.mark.parametrize("ndim", [1, 3])
+@pytest.mark.parametrize("name", sorted(STACK_TAKERS))
+def test_a_stack_that_is_not_2d_is_length_mismatch(ico162_basis, name, ndim):
+    """One rule for a stack, spectral._feature_values: float64 (n, d), else
+    LengthMismatch, never a numpy ValueError or IndexError."""
+    basis, f = ico162_basis
+    x = f if ndim == 1 else basis.phi[:, :, None]
+    with pytest.raises(LengthMismatch, match="expected \\(n, d\\) array"):
+        STACK_TAKERS[name](basis, x)
 
 
 @pytest.fixture(scope="module")

@@ -91,9 +91,9 @@ class DiagnoseConfig(_PairConfig):
 
 
 def load_landmark_pairs(path):
-    """Landmark file: one 'i j' pair per line (src index, dst index)."""
+    """Landmark file: one 'i j' pair per line; its two int64 columns (src, dst)."""
     pairs = read_table(path, "landmark", width=2)
-    return pairs[:, 0].tolist(), pairs[:, 1].tolist()
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _build_stack(mesh, basis_k, desc, landmarks, landmark_t):
@@ -105,7 +105,7 @@ def _build_stack(mesh, basis_k, desc, landmarks, landmark_t):
         parts.append(descriptor_wks(basis_k, energies, sigma))
     if desc in ("xyz", "stack"):
         parts.append(descriptor_xyz(mesh))
-    if landmarks:
+    if len(landmarks):
         parts.append(descriptor_landmarks(basis_k, landmarks, landmark_t))
     return concat_features(parts)
 

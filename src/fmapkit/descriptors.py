@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllEigenvaluesExcluded, IndexOutOfRange, LengthMismatch
-from .mesh import TriMesh
+from .errors import AllEigenvaluesExcluded, LengthMismatch
+from .mesh import TriMesh, _vertex_indices
 from .spectral import SpectralBasis, _feature_values, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
@@ -113,16 +113,9 @@ def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float) -> np.ndarra
     landmark pushed through heat flow. An empty landmark list yields a
     (n, 0) matrix that concatenates cleanly.
     """
-    landmarks = [int(l) for l in landmarks]
-    n = basis.n
-    for l in landmarks:
-        if not 0 <= l < n:
-            raise IndexOutOfRange(f"landmark {l} outside [0, {n})")
-    if not landmarks:
-        return np.zeros((n, 0))
-    spikes = np.zeros((n, len(landmarks)))
-    for col, l in enumerate(landmarks):
-        spikes[l, col] = 1.0 / basis.mass[l]
+    idx = _vertex_indices(landmarks, basis.n, "landmark")
+    spikes = np.zeros((basis.n, idx.size))
+    spikes[idx, np.arange(idx.size)] = 1.0 / basis.mass[idx]
     return diffuse(basis, spikes, t)
 
 

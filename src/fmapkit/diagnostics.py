@@ -23,6 +23,7 @@ from .fmap import (
     convert_feature_nn,
     loss_properness,
     properness_project,
+    _fmap_matrix,
     _nearest,
     _pull_back,
     _sq_dist,
@@ -68,8 +69,7 @@ def measure_basis_aligning(C: np.ndarray, basis1: SpectralBasis, basis2: Spectra
 
     Pi is C's adjoint map; `adjoint` passes it as in measure_properness.
     """
-    if np.shape(C) != (basis2.k, basis1.k):
-        raise LengthMismatch(f"C is {np.shape(C)}, bases need ({basis2.k}, {basis1.k})")
+    C = _fmap_matrix(C, basis1.k, basis2.k)
     if adjoint is None:
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
     pulled = _pull_back(adjoint, basis1.phi)

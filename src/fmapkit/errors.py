@@ -1,9 +1,11 @@
 """Exception types shared across the toolkit.
 
 Bad data and bad shapes raise an FmapError subclass, so callers (and the
-CLI) can tell data problems from genuine bugs. A parameter out of its range
-raises ValueError: tau, mu, a diffusion time t, iters, sigma or the refine
-mode; empty HKS times or WKS energies, or energies with no spectral support;
+CLI) can tell data problems from genuine bugs. Any vertex index outside
+the mesh raises IndexOutOfRange, and an index array that is not 1-D
+integers raises LengthMismatch. A parameter out of its range raises
+ValueError: tau, mu, a diffusion time t, iters, sigma or the refine mode;
+empty HKS times or WKS energies, or energies with no spectral support;
 mu > 0 without eigenvalues; nearest rows sought among no points. The CLI
 checks its flags before they reach the library, and exits 2 on a bad one.
 """

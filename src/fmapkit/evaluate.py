@@ -6,20 +6,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedMesh, IndexOutOfRange, LengthMismatch
+from .errors import DisconnectedMesh, LengthMismatch
 from . import mesh as _mesh
-from .mesh import TriMesh, _fmt, derived, graph_geodesics
+from .mesh import TriMesh, _fmt, _vertex_indices, derived, graph_geodesics
 
 _LANDMARKS = 32        # farthest-point landmarks whose rows bound each miss's distance
 _BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
-
-
-def _indices(m) -> np.ndarray:
-    """A hard map as int64; anything but (n,) integers raises LengthMismatch."""
-    m = np.asarray(m)
-    if m.ndim != 1 or m.dtype.kind not in "iu":
-        raise LengthMismatch(f"evaluation needs (n,) integer indices, got {m.dtype} {m.shape}")
-    return m.astype(np.int64, copy=False)
 
 
 def _landmarks(mesh: TriMesh) -> np.ndarray:
@@ -107,13 +99,10 @@ def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
     from a full n x n table. A pair separated by a disconnected component
     raises DisconnectedMesh.
     """
-    p, g = _indices(pred), _indices(gt)
+    n = mesh_target.n_vertices
+    p, g = _vertex_indices(pred, n, "prediction"), _vertex_indices(gt, n, "ground truth")
     if p.size != g.size:
         raise LengthMismatch(f"prediction has {p.size} entries, ground truth {g.size}")
-    n = mesh_target.n_vertices
-    for name, arr in (("prediction", p), ("ground truth", g)):
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise IndexOutOfRange(f"{name} indexes outside [0, {n})")
     area = mesh_target.total_area()  # first, so its temporaries never meet the rows
     miss = np.nonzero(p != g)[0]
     reach = np.full(miss.size, np.inf)

@@ -17,6 +17,7 @@ import numpy as np
 from . import _blas
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
+from .mesh import _vertex_indices
 from .spectral import SpectralBasis, _feature_values
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
@@ -25,6 +26,14 @@ RANK_RTOL = 1e-10
 
 DEFAULT_TAU = 0.07
 DEFAULT_MU = 1e-3
+
+
+def _fmap_matrix(C, k1: int, k2: int) -> np.ndarray:
+    """A functional map as a float64 (k2, k1) array; any other shape is LengthMismatch."""
+    C = np.asarray(C, dtype=np.float64)
+    if C.shape != (k2, k1):
+        raise LengthMismatch(f"C is {C.shape}, expected ({k2}, {k1})")
+    return C
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -206,14 +215,8 @@ def convert_adjoint(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.nda
     Each row of Phi2 C (the shape-2 vertices pushed into shape 1's
     coefficient space) is matched to its nearest row of Phi1.
     """
-    C = np.asarray(C, dtype=np.float64)
-    phi1 = np.asarray(phi1, dtype=np.float64)
-    phi2 = np.asarray(phi2, dtype=np.float64)
-    if phi2.shape[1] != C.shape[0] or phi1.shape[1] != C.shape[1]:
-        raise LengthMismatch(
-            f"C {C.shape} incompatible with phi1 {phi1.shape} / phi2 {phi2.shape}"
-        )
-    return nearest_rows(phi2 @ C, phi1)
+    phi1, phi2 = _feature_values(phi1), _feature_values(phi2)
+    return nearest_rows(phi2 @ _fmap_matrix(C, phi1.shape[1], phi2.shape[1]), phi1)
 
 
 def convert_feature_nn(F1, F2) -> np.ndarray:
@@ -299,20 +302,18 @@ def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
 def _pull_back(pi, values) -> np.ndarray:
     """Pi @ values: shape-1 vertex values pulled back onto shape 2.
 
-    The array says which map pi is: 1-D integers are a hard map (indices
-    into [0, n1), n1 = len(values)), 2-D is a soft map (n2, n1), rows
-    finite, non-negative and summing to 1 within 1e-9. Anything else, an
-    index outside [0, n1) (numpy would wrap a negative one), a soft map of
-    another width or a bad soft row raises LengthMismatch. A soft map's
-    rows are checked and multiplied in one `_blas.row_blocks` pass.
+    The array says which map pi is: 1-D is a hard map, integers checked
+    by `mesh._vertex_indices` against n1 = len(values) (numpy would wrap
+    a negative one); 2-D is a soft map (n2, n1), rows finite, non-negative
+    and summing to 1 within 1e-9. Anything else, a soft map of another
+    width or a bad soft row raises LengthMismatch. A soft map's rows are
+    checked and multiplied in one `_blas.row_blocks` pass.
     """
     values = np.asarray(values, dtype=np.float64)
     n1 = len(values)
     pi = np.asarray(pi)
-    if pi.ndim == 1 and pi.dtype.kind in "iu":
-        if pi.size and (pi.min() < 0 or pi.max() >= n1):
-            raise LengthMismatch(f"hard map indices outside [0, {n1})")
-        return values[pi]
+    if pi.ndim == 1:
+        return values[_vertex_indices(pi, n1, "point map")]
     if pi.ndim != 2 or pi.shape[1] != n1:
         raise LengthMismatch(f"not a point map onto {n1} rows: {pi.dtype} {pi.shape}")
     pi = np.asarray(pi, dtype=np.float64)
@@ -345,6 +346,19 @@ def loss_properness(C_pred: np.ndarray, C_proper: np.ndarray) -> float:
     return float(np.sum((C_pred - C_proper) ** 2))
 
 
+def _unsupervised_terms(C12, C21):
+    """The pair as float64 and its residuals C12 C21 - I, C21 C12 - I,
+    C12^T C12 - I and C21^T C21 - I.
+
+    C12 is any (k2, k1) array and C21 must be (k1, k2), else LengthMismatch.
+    """
+    C12 = np.asarray(C12, dtype=np.float64)
+    k2, k1 = C12.shape if C12.ndim == 2 else (0, 0)   # (0, 0) fails any other ndim
+    C12, C21 = _fmap_matrix(C12, k1, k2), _fmap_matrix(C21, k2, k1)
+    i1, i2 = np.eye(k1), np.eye(k2)
+    return C12, C21, (C12 @ C21 - i2, C21 @ C12 - i1, C12.T @ C12 - i1, C21.T @ C21 - i2)
+
+
 @single_threaded()
 def loss_unsupervised(C12: np.ndarray, C21: np.ndarray) -> float:
     """Bijectivity + orthogonality energy on a map pair.
@@ -352,34 +366,14 @@ def loss_unsupervised(C12: np.ndarray, C21: np.ndarray) -> float:
     ||C12 C21 - I||^2 + ||C21 C12 - I||^2 + ||C12^T C12 - I||^2
     + ||C21^T C21 - I||^2 (all squared Frobenius).
     """
-    C12 = np.asarray(C12, dtype=np.float64)
-    C21 = np.asarray(C21, dtype=np.float64)
-    if C12.shape != C21.T.shape:
-        raise LengthMismatch(f"C12 {C12.shape} and C21 {C21.shape} do not compose")
-    k2, k1 = C12.shape
-    i1, i2 = np.eye(k1), np.eye(k2)
-    return float(
-        np.sum((C12 @ C21 - i2) ** 2)
-        + np.sum((C21 @ C12 - i1) ** 2)
-        + np.sum((C12.T @ C12 - i1) ** 2)
-        + np.sum((C21.T @ C21 - i2) ** 2)
-    )
+    _, _, residuals = _unsupervised_terms(C12, C21)
+    return float(sum(np.sum(r ** 2) for r in residuals))
 
 
 @single_threaded()
 def grad_unsupervised(C12: np.ndarray, C21: np.ndarray):
     """Analytic gradient of loss_unsupervised w.r.t. both maps."""
-    C12 = np.asarray(C12, dtype=np.float64)
-    C21 = np.asarray(C21, dtype=np.float64)
-    if C12.shape != C21.T.shape:
-        raise LengthMismatch(f"C12 {C12.shape} and C21 {C21.shape} do not compose")
-    k2, k1 = C12.shape
-    i1, i2 = np.eye(k1), np.eye(k2)
-    r_12_21 = C12 @ C21 - i2
-    r_21_12 = C21 @ C12 - i1
-    o_12 = C12.T @ C12 - i1
-    o_21 = C21.T @ C21 - i2
+    C12, C21, (r_12_21, r_21_12, o_12, o_21) = _unsupervised_terms(C12, C21)
     g12 = 2.0 * r_12_21 @ C21.T + 2.0 * C21.T @ r_21_12 + 4.0 * C12 @ o_12
     g21 = 2.0 * C12.T @ r_12_21 + 2.0 * r_21_12 @ C12.T + 4.0 * C21 @ o_21
     return g12, g21
-

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from ._lru import LRU
-from .errors import DegenerateMesh, IndexOutOfRange, ParseError
+from .errors import DegenerateMesh, IndexOutOfRange, LengthMismatch, ParseError
 
 # Triangles are rejected when their area falls below this fraction of the
 # squared bounding-box diagonal; keeps cotangents and masses finite.
@@ -53,6 +53,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _vertex_indices(idx, n: int, what: str) -> np.ndarray:
+    """Indices into n vertices as an int64 (m,) array, the one index check.
+
+    Anything but a 1-D integer array (an empty one of any dtype passes)
+    raises LengthMismatch; an index outside [0, n), IndexOutOfRange.
+    """
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise LengthMismatch(f"{what} indices must be (m,) integers, got {idx.dtype} {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexOutOfRange(
+            f"{what} index out of range [0, {n}): min {idx.min()}, max {idx.max()}"
+        )
+    return idx.astype(np.int64, copy=False)
+
+
 class TriMesh:
     """Validated triangle mesh.
 
@@ -61,16 +77,19 @@ class TriMesh:
     vertices : array_like of shape (n, 3)
         Vertex positions, copied to float64.
     triangles : array_like of shape (m, 3)
-        Vertex indices per triangle, copied to int64.
+        Integer vertex indices per triangle, copied to int64.
 
     Raises
     ------
     IndexOutOfRange
         If a triangle references a vertex outside [0, n).
+    LengthMismatch
+        If the triangles are not integers.
     DegenerateMesh
-        If a triangle has repeated vertices, its area is below the
-        degeneracy floor (1e-12 x squared bounding-box diagonal), or a
-        vertex is referenced by no triangle (its lumped mass would be 0).
+        If there is no triangle, a triangle has repeated vertices, its
+        area is below the degeneracy floor (1e-12 x squared bounding-box
+        diagonal), or a vertex is referenced by no triangle (its lumped
+        mass would be 0).
 
     Notes
     -----
@@ -82,18 +101,14 @@ class TriMesh:
 
     def __init__(self, vertices, triangles):
         v = np.array(vertices, dtype=np.float64)
-        t = np.array(triangles, dtype=np.int64)
+        t = np.array(triangles)
         if v.ndim != 2 or v.shape[1] != 3:
             raise DegenerateMesh(f"vertices must be (n, 3), got {v.shape}")
         if not np.isfinite(v).all():
             raise DegenerateMesh("non-finite vertex coordinate")
-        if t.ndim != 2 or t.shape[1] != 3:
-            raise DegenerateMesh(f"triangles must be (m, 3), got {t.shape}")
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
-            raise IndexOutOfRange(
-                f"triangle index out of range [0, {len(v)}): "
-                f"min {t.min()}, max {t.max()}"
-            )
+        if t.ndim != 2 or t.shape[1] != 3 or not len(t):
+            raise DegenerateMesh(f"triangles must be (m, 3) with m >= 1, got {t.shape}")
+        t = _vertex_indices(t.ravel(), len(v), "triangle").reshape(-1, 3)
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 0] == t[:, 2]):
             raise DegenerateMesh("triangle with repeated vertex index")
         v.flags.writeable = t.flags.writeable = False
@@ -101,7 +116,7 @@ class TriMesh:
         self._graph = (None, ())  # (edge graph, its arrays when built)
 
         areas = self.triangle_areas()
-        bbox_diag_sq = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2)) if len(v) else 0.0
+        bbox_diag_sq = float(np.sum((v.max(axis=0) - v.min(axis=0)) ** 2))
         floor = AREA_FLOOR_SCALE * bbox_diag_sq
         bad = np.nonzero(areas <= floor)[0]
         if bad.size:
@@ -206,7 +221,7 @@ def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
     ----------
     mesh : TriMesh
     sources : array_like of int, optional
-        Source vertices; all vertices when omitted.
+        Source vertices, 1-D (`_vertex_indices`); all vertices when omitted.
     limit : float, optional
         Search radius: vertices farther than `limit` from a source get +inf.
         Every distance <= limit is the same float as with no limit, since
@@ -230,9 +245,7 @@ def graph_geodesics(mesh: TriMesh, sources=None, limit=np.inf) -> np.ndarray:
     """
     if sources is None:
         sources = np.arange(mesh.n_vertices)
-    sources = np.asarray(sources, dtype=np.int64).ravel()
-    if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
-        raise IndexOutOfRange("geodesic source index out of range")
+    sources = _vertex_indices(sources, mesh.n_vertices, "geodesic source")
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
     from scipy.sparse.csgraph import dijkstra   # here, so only a search loads csgraph

@@ -14,6 +14,7 @@ from ._blas import single_threaded
 from .errors import MissingFeatures
 from .fmap import (
     DEFAULT_TAU,
+    _fmap_matrix,
     _soft_apply,
     loss_properness,
     properness_project,
@@ -56,7 +57,7 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
         raise MissingFeatures("feature mode needs both descriptor stacks")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    C = np.asarray(C0, dtype=np.float64).copy()
+    C = _fmap_matrix(C0, basis1.k, basis2.k)
     if mode == "feature":
         C_next = properness_project(soft_map(F1, F2, tau), basis1, basis2)
         r = loss_properness(C, C_next)

@@ -54,6 +54,14 @@ PLY_TRIANGLE = (
     "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {k}\n"
 )
 
+# well-formed files of a mesh with no vertices and no triangles
+EMPTY_MESHES = {
+    "off": "OFF\n0 0 0\n",
+    "ply": ("ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 0\nproperty list uchar int vertex_indices\n"
+            "end_header\n"),
+}
+
 # file name -> contents (None: a directory) of inputs every reader must
 # reject with ParseError; "pred" is fed to eval, the rest to match as --src
 MALFORMED = {
@@ -243,6 +251,15 @@ class TestExitCodes:
                    "--dst", str(small_pair.dst), "--out", str(tmp_path / "o.txt")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("fmapkit:")
+
+    @pytest.mark.parametrize("ext", sorted(EMPTY_MESHES))
+    def test_empty_mesh_is_data_error(self, small_pair, tmp_path, capsys, ext):
+        path = tmp_path / f"empty.{ext}"
+        path.write_text(EMPTY_MESHES[ext])
+        rc = main(["match", "--src", str(path), "--dst", str(small_pair.dst),
+                   "--out", str(tmp_path / "o.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("fmapkit: triangles must be (m, 3) with m >= 1")
 
     def test_malformed_landmarks_is_data_error(self, small_pair, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -638,7 +655,9 @@ class TestLandmarkParsing:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "lm.txt"
         path.write_text("# header comment\n0 5\n3 7\n\n")
-        assert load_landmark_pairs(path) == ([0, 3], [5, 7])
+        src, dst = load_landmark_pairs(path)
+        assert src.dtype == dst.dtype == np.int64
+        assert (src.tolist(), dst.tolist()) == ([0, 3], [5, 7])
 
     def test_non_integer_rejected(self, tmp_path):
         from fmapkit.errors import ParseError

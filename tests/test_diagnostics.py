@@ -24,7 +24,7 @@ from fmapkit.diagnostics import (
     rank_report,
     theorem_oracle,
 )
-from fmapkit.errors import LengthMismatch, ZeroFeatures
+from fmapkit.errors import IndexOutOfRange, LengthMismatch, ZeroFeatures
 from fmapkit.fmap import convert_adjoint, soft_map
 from fmapkit.spectral import eigenbasis
 
@@ -115,10 +115,10 @@ class TestPointwiseMeasures:
         negative = pair.perm.copy()
         negative[0] = -1   # numpy would wrap it to the last row
         # one row would broadcast against Phi2 C
-        for pm in (pair.perm[:1], negative):
-            with pytest.raises(LengthMismatch):
+        for pm, error in ((pair.perm[:1], LengthMismatch), (negative, IndexOutOfRange)):
+            with pytest.raises(error):
                 measure_basis_aligning(pair.C_gt, basis1, basis2, adjoint=pm)
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(error):
                 measure_properness(pair.C_gt, basis1, basis2, adjoint=pm)
         # a C that does not fit the bases, with a map that does
         identity = np.arange(basis2.n)
@@ -221,7 +221,7 @@ class TestEnergyDecomposition:
         F1, F2 = complete_features
         pi = pair.perm.copy()
         pi[7] = -1   # numpy would wrap it to the last row
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IndexOutOfRange):
             energy_terms(pi, F1, F2, pair.basis2)
 
     @pytest.mark.parametrize("rows", [1, 5])

@@ -15,7 +15,8 @@ import oracles as orc
 from fmapkit import _blas, cli, fmap, synth
 from fmapkit._blas import single_threaded
 from fmapkit.cli import DiagnoseConfig
-from fmapkit.errors import LengthMismatch, RankDeficient
+from fmapkit.diagnostics import build_structure_report, measure_basis_aligning, measure_properness
+from fmapkit.errors import IndexOutOfRange, LengthMismatch, RankDeficient
 from fmapkit.fmap import (
     convert_adjoint,
     convert_feature_nn,
@@ -27,6 +28,8 @@ from fmapkit.fmap import (
     soft_map,
     solve_fmap,
 )
+from fmapkit.refine import refine_proper
+from fmapkit.spectral import build_laplacian, eigenbasis
 
 
 class TestSolve:
@@ -195,10 +198,10 @@ class TestPointMap:
 
     def test_hard_validation(self):
         vals = np.zeros((3, 2))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IndexOutOfRange):
             fmap._pull_back(np.array([0, 3]), vals)
         # numpy would wrap -1 to the last row
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IndexOutOfRange):
             fmap._pull_back(np.array([-1]), vals)
 
     def test_soft_validation(self):
@@ -229,7 +232,7 @@ class TestPointMap:
 
     def test_apply_size_check(self):
         # the source size is the row count of the values pulled back
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IndexOutOfRange):
             fmap._pull_back(np.array([0, 4]), np.zeros((4, 2)))
         with pytest.raises(LengthMismatch):
             fmap._pull_back(np.full((1, 4), 0.25), np.zeros((5, 2)))
@@ -360,7 +363,7 @@ class TestPropernessProjection:
     def test_negative_index_raises(self, pair):
         pi = pair.perm.copy()
         pi[7] = -1   # numpy would wrap it to the last row
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(IndexOutOfRange):
             properness_project(pi, pair.basis1, pair.basis2)
 
     @pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
@@ -419,3 +422,35 @@ class TestLosses:
         f21 = orc.fd_gradient(lambda x: loss_unsupervised(C12, x), C21)
         assert g12 == pytest.approx(f12, rel=1e-6, abs=1e-7)
         assert g21 == pytest.approx(f21, rel=1e-6, abs=1e-7)
+
+
+# Every public function that takes a functional map C of shape (k2, k1),
+# called with `C` in its place and bases with k1 = 20 != k2 = 12 on ico162.
+C_TAKERS = {
+    "convert_adjoint": lambda b1, b2, C: convert_adjoint(C, b1.phi, b2.phi),
+    "measure_properness": lambda b1, b2, C: measure_properness(C, b1, b2),
+    "measure_basis_aligning": lambda b1, b2, C: measure_basis_aligning(C, b1, b2),
+    "build_structure_report": lambda b1, b2, C: build_structure_report(
+        C, b1, b2, b1.phi, b2.phi),
+    "refine_proper_adjoint": lambda b1, b2, C: refine_proper(C, b1, b2),
+    "refine_proper_feature": lambda b1, b2, C: refine_proper(
+        C, b1, b2, mode="feature", F1=b1.phi[:, :12], F2=b2.phi),
+    "loss_unsupervised": lambda b1, b2, C: loss_unsupervised(C, np.zeros((20, 12))),
+    "grad_unsupervised": lambda b1, b2, C: grad_unsupervised(C, np.zeros((20, 12))),
+}
+
+
+@pytest.fixture(scope="module")
+def ico162_bases(ico162):
+    basis1 = eigenbasis(build_laplacian(ico162), 20)
+    return basis1, basis1.truncate(12)
+
+
+@pytest.mark.parametrize("shape", [(20, 12), (1, 12, 20)])
+@pytest.mark.parametrize("name", sorted(C_TAKERS))
+def test_a_functional_map_of_another_shape_is_length_mismatch(ico162_bases, name, shape):
+    """One rule for C, fmap._fmap_matrix: float64 (k2, k1), else
+    LengthMismatch, never a numpy ValueError."""
+    basis1, basis2 = ico162_bases
+    with pytest.raises(LengthMismatch, match="C is"):
+        C_TAKERS[name](basis1, basis2, np.zeros(shape))

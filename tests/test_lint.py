@@ -1,6 +1,7 @@
 """Every import in the library is used, every module-level private name
-is read somewhere in it, and every module-level cache is emptied between
-tests: AST checks, with no linter needed.
+is read somewhere in it, every module-level cache is emptied between
+tests, and IndexOutOfRange has one raise site: AST checks, with no linter
+needed.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check.
@@ -158,3 +159,46 @@ def test_every_module_cache_is_emptied_between_tests():
     caches = module_caches(sources)
     assert caches   # the check finds the caches it guards
     assert set(caches) - emptied_by(conftest, "cold_side_cache") == set()
+
+
+def raise_sites(sources: dict[str, str], error: str) -> list[str]:
+    """`module: function` of every function with a `raise error` of its own.
+
+    A raise in a nested function counts for that function alone; one
+    outside any function counts for `<module>`.
+    """
+    sites = []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            site = f"{module}: {func}"
+            if (isinstance(child, ast.Raise) and child.exc is not None
+                    and _callee(child.exc) == error and site not in sites):
+                sites.append(site)
+            visit(child, module, func)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sites
+
+
+def test_the_check_sees_a_raise_site():
+    sources = {
+        "a.py": "def check(i):\n    if i < 0:\n        raise IndexOutOfRange('low')\n"
+                "    if i > 9:\n        raise IndexOutOfRange('high')\n"
+                "def other():\n    raise LengthMismatch('x')\n"
+                "def outer():\n    def inner():\n        raise errors.IndexOutOfRange\n"
+                "    return inner\n",
+        "b.py": "raise IndexOutOfRange('at import')\n",
+    }
+    assert raise_sites(sources, "IndexOutOfRange") == ["a.py: check", "a.py: inner",
+                                                       "b.py: <module>"]
+
+
+def test_index_out_of_range_has_one_raise_site():
+    """mesh._vertex_indices is the one vertex-index check."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert raise_sites(sources, "IndexOutOfRange") == ["mesh.py: _vertex_indices"]

@@ -21,7 +21,17 @@ from scipy.sparse.csgraph import dijkstra
 import oracles as orc
 from fmapkit import mesh as mesh_module, synth
 from fmapkit.cli import load_landmark_pairs
-from fmapkit.errors import DegenerateMesh, FmapError, IndexOutOfRange, ParseError
+from fmapkit.descriptors import descriptor_landmarks
+from fmapkit.diagnostics import energy_terms, measure_basis_aligning, measure_properness
+from fmapkit.errors import (
+    DegenerateMesh,
+    FmapError,
+    IndexOutOfRange,
+    LengthMismatch,
+    ParseError,
+)
+from fmapkit.evaluate import geodesic_error
+from fmapkit.fmap import properness_project
 from fmapkit.mesh import (
     TriMesh,
     graph_geodesics,
@@ -32,6 +42,7 @@ from fmapkit.mesh import (
     save_mesh,
     write_table,
 )
+from fmapkit.spectral import build_laplacian, eigenbasis
 
 # pinned with oracles.dijkstra_ref / total_area_heron before wiring in scipy
 ICO642_AREA = 12.506492733969862
@@ -92,6 +103,10 @@ class TestTriMeshValidation:
         with pytest.raises(DegenerateMesh):
             TriMesh(verts, [[0, 1, 2]])
 
+    def test_rejects_a_mesh_with_no_triangles(self):
+        with pytest.raises(DegenerateMesh, match="m >= 1"):
+            TriMesh(np.zeros((0, 3)), np.zeros((0, 3), int))
+
 
 class TestAreas:
     def test_tetra_total_area_is_analytic(self, tetra):
@@ -135,9 +150,9 @@ class TestEdges:
 
     @settings(deadline=None, max_examples=40)
     @given(faces=st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3, unique=True),
-                          max_size=40),
+                          min_size=1, max_size=40),
            seed=st.integers(0, 2**32 - 1))
-    @example(faces=[], seed=0)
+    @example(faces=[[0, 1, 2]], seed=0)
     def test_edges_equal_the_row_unique_pairs(self, faces, seed):
         # relabel so every vertex is used; random positions are in general position
         t = np.unique(np.array(faces, dtype=np.int64).reshape(-1), return_inverse=True)[1]
@@ -466,7 +481,8 @@ class TestMatrixIO:
         a = np.array([[0, 2**63 - 1], [7, 3], [7, 3]])
         write_table(a, tmp_path / "l.txt")
         assert np.array_equal(read_table(tmp_path / "l.txt", "landmark", 2), a)
-        assert load_landmark_pairs(tmp_path / "l.txt") == ([0, 7, 7], [2**63 - 1, 3, 3])
+        src, dst = load_landmark_pairs(tmp_path / "l.txt")
+        assert (src.tolist(), dst.tolist()) == ([0, 7, 7], [2**63 - 1, 3, 3])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "l.txt"
@@ -596,3 +612,58 @@ class TestSynth:
     def test_bumpy_sphere_brings_radius_variation(self, bumpy642):
         r = np.linalg.norm(bumpy642.vertices, axis=1)
         assert r.max() - r.min() > 0.05
+
+
+# Every public function that takes vertex indices of ico162, called with
+# `idx` in their place and well-formed arguments elsewhere (k = 20), and
+# the valid indices each fault is made from.
+_ALL = np.arange(162)
+INDEX_TAKERS = {
+    "TriMesh": (lambda m, b, idx: TriMesh(m.vertices, idx.reshape(-1, 3)), None),
+    "graph_geodesics": (lambda m, b, idx: graph_geodesics(m, idx), [0, 5, 9]),
+    "descriptor_landmarks": (lambda m, b, idx: descriptor_landmarks(b, idx, 0.1), [0, 5, 9]),
+    "geodesic_error_prediction": (lambda m, b, idx: geodesic_error(idx, _ALL, m), _ALL),
+    "geodesic_error_ground_truth": (lambda m, b, idx: geodesic_error(_ALL, idx, m), _ALL),
+    "properness_project": (lambda m, b, idx: properness_project(idx, b, b), _ALL),
+    "energy_terms": (lambda m, b, idx: energy_terms(idx, b.phi, b.phi, b), _ALL),
+    "measure_properness": (
+        lambda m, b, idx: measure_properness(np.eye(20), b, b, adjoint=idx), _ALL),
+    "measure_basis_aligning": (
+        lambda m, b, idx: measure_basis_aligning(np.eye(20), b, b, adjoint=idx), _ALL),
+}
+
+
+def _second(idx, value):
+    """idx with its second entry set to value."""
+    idx = idx.copy()
+    idx[1] = value
+    return idx
+
+
+# fault -> (how it is made from valid indices, the error it must raise)
+INDEX_FAULTS = {
+    "n": (lambda idx: _second(idx, 162), IndexOutOfRange),
+    "negative": (lambda idx: _second(idx, -1), IndexOutOfRange),
+    "float": (lambda idx: idx.astype(np.float64), LengthMismatch),
+    "2d": (lambda idx: idx[:, None], LengthMismatch),
+}
+# a triangle array is (m, 3) by definition, so TriMesh has no 2-D fault
+INDEX_CASES = [(name, fault) for name in sorted(INDEX_TAKERS) for fault in sorted(INDEX_FAULTS)
+               if (name, fault) != ("TriMesh", "2d")]
+
+
+@pytest.fixture(scope="module")
+def ico162_basis20(ico162):
+    return eigenbasis(build_laplacian(ico162), 20)
+
+
+@pytest.mark.parametrize("name, fault", INDEX_CASES)
+def test_a_bad_vertex_index_is_index_out_of_range(ico162, ico162_basis20, name, fault):
+    """One rule for vertex indices, mesh._vertex_indices: an index outside
+    [0, n) is IndexOutOfRange, an array that is not 1-D integers is
+    LengthMismatch."""
+    take, good = INDEX_TAKERS[name]
+    make, error = INDEX_FAULTS[fault]
+    good = ico162.triangles.ravel() if good is None else np.asarray(good)
+    with pytest.raises(error, match="index out of range" if error is IndexOutOfRange else None):
+        take(ico162, ico162_basis20, make(good))

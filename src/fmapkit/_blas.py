@@ -20,7 +20,7 @@ single-threaded. The layout depends on n alone, so results never depend on
 the thread count. On an AVX-512 OpenBLAS a row split at a multiple of 24
 rounds the similarity product and the pull-back exactly as the whole
 products, so 96 keeps the unsplit bits; 32, 64 or 128 rows move a refine
-step's C by up to 5.5e-17 relative at n = 2562.
+step's C by up to 1.4e-17 relative at n = 2562.
 
 Libraries are found by listing the loaded shared objects (dl_iterate_phdr,
 on Linux and the BSDs) and looking up the get/set symbols of the OpenBLAS
@@ -44,7 +44,8 @@ wrapped entry point named first:
   and diagnostics.nn_distinctness: the nearest-row kernel `fmap._nearest`,
   one GEMM `[-2q, 1] @ [p, |p|^2].T` per row block
 * fmap.soft_map: `v2 @ v1.T`, per row block
-* fmap._soft_apply: `v2 @ v1.T` and the block's pull-back, per row block
+* fmap._soft_apply: `v2 @ (v1 / tau).T` and the block's unnormalised
+  pull-back, per row block
 * fmap._pull_back: `matrix @ values` (soft maps), per row block;
   properness_project, diagnostics.energy_terms and
   diagnostics.measure_basis_aligning call it
@@ -60,7 +61,7 @@ wrapped entry point named first:
 * diagnostics.build_structure_report: only the calls above, wrapped once
   so that a whole run switches the count once
 
-`row_blocks` also runs the soft-map row checks and the nearest-row
+`row_blocks` also runs the soft-map row-sum checks and the nearest-row
 kernel's argmin and exact recheck, and hands each worker its own scratch
 buffer.
 

@@ -27,6 +27,9 @@ RANK_RTOL = 1e-10
 DEFAULT_TAU = 0.07
 DEFAULT_MU = 1e-3
 
+# the LengthMismatch of a bad soft-map row, given (_check_rows) or computed (_exp_rows)
+_BAD_ROWS = "soft map rows must be finite, non-negative and sum to 1"
+
 
 def _fmap_matrix(C, k1: int, k2: int) -> np.ndarray:
     """A functional map as a float64 (k2, k1) array; any other shape is LengthMismatch."""
@@ -47,9 +50,7 @@ def _check_rows(rows: np.ndarray) -> None:
         or np.min(rows, initial=0.0) < 0
         or np.any(np.abs(sums - 1.0) > 1e-9)
     ):
-        raise LengthMismatch(
-            "soft map rows must be finite, non-negative and sum to 1"
-        )
+        raise LengthMismatch(_BAD_ROWS)
 
 
 @single_threaded()
@@ -234,19 +235,21 @@ def _soft_inputs(G1, G2, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
-def _soft_rows(v1: np.ndarray, rows2: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
-    """The soft-map rows of rows2 against v1, written into out (len(rows2), n1).
+def _exp_rows(s: np.ndarray) -> np.ndarray:
+    """exp(s - s.max(1)) in place in s; returns its (rows, 1) row sums, checked.
 
-    The block's similarity product, then the max shift, `exp` and row
-    normalisation in place: the steps of exp(s - s.max(1)) / sum with
-    s = (rows2 @ v1.T) / tau.
+    Each row's largest entry becomes exp(0) = 1, so a finite row sums to
+    at least 1. A non-finite similarity (a NaN or an infinite descriptor
+    entry) makes NaN reach its row sum, through NaN itself or inf - inf:
+    the sums must be finite and > 0, else the LengthMismatch of
+    `_check_rows`.
     """
-    s = np.matmul(rows2, v1.T, out=out)
-    s /= tau
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
+    sums = s.sum(axis=1, keepdims=True)
+    if not (np.isfinite(sums) & (sums > 0)).all():
+        raise LengthMismatch(_BAD_ROWS)
+    return sums
 
 
 @single_threaded()
@@ -258,41 +261,55 @@ def soft_map(G1, G2, tau: float = DEFAULT_TAU) -> np.ndarray:
 
     The call allocates the one n2 x n1 float64 array it returns (52 MB
     at n = 2562) and fills it per `_blas.row_blocks` block, on the
-    caller's BLAS threads (`_soft_rows`), checking each block's rows as
-    it is made (`_check_rows`). On an AVX-512 OpenBLAS the result is
+    caller's BLAS threads: the block's similarity product, divided by
+    tau, shifted, exponentiated and divided by its row sums (`_exp_rows`,
+    which checks the sums first). On an AVX-512 OpenBLAS the result is
     bit-identical to exp(s - s.max(1)) / sum with s = (G2 @ G1.T) / tau;
     on any build it does not depend on the thread count. A non-finite
-    similarity (a NaN or an infinite descriptor entry) gives a non-finite
-    row, which the check rejects with LengthMismatch.
+    similarity (a NaN or an infinite descriptor entry) gives a NaN row
+    sum, which the check rejects with LengthMismatch.
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
     p = np.empty((len(v2), len(v1)))
-    _blas.row_blocks(lambda a, b, _: _check_rows(_soft_rows(v1, v2[a:b], tau, p[a:b])),
-                     len(v2))
+
+    def block(a, b, _):
+        s = np.matmul(v2[a:b], v1.T, out=p[a:b])
+        s /= tau
+        s /= _exp_rows(s)
+
+    _blas.row_blocks(block, len(v2))
     return p
 
 
 @single_threaded()
 def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """_pull_back(soft_map(G1, G2, tau), values), bit for bit, without the soft map.
+    """The pull-back Pi @ values, (n1, m), through Pi = soft_map(G1, G2, tau), without Pi.
 
-    Each `_blas.row_blocks` block builds its soft-map rows in its worker's
-    (ROW_BLOCK, n1) buffer, checks them as soft_map does (LengthMismatch
-    unless finite, non-negative and summing to 1) and pulls them back at
-    once, so the call holds O(workers * ROW_BLOCK * n1) bytes instead of
-    n2 * n1. The blocks split both products exactly as soft_map and
-    _pull_back do.
+    Each `_blas.row_blocks` block writes exp(s - s.max(1)) of its
+    similarities s = rows2 @ (G1 / tau).T in its worker's (ROW_BLOCK, n1)
+    buffer, checks the row sums as soft_map does (`_exp_rows`), pulls the
+    unnormalised block back and divides the (rows, values) result by the
+    sums. So the call holds O(workers * ROW_BLOCK * n1) bytes instead of
+    n2 * n1, and makes 4 elementwise passes over a block where soft_map
+    makes 6. It rejects NaN and infinite descriptors as soft_map does,
+    but folding 1 / tau into G1 and dividing after the product round
+    differently: the result agrees with
+    _pull_back(soft_map(G1, G2, tau), values) to a few units in the last
+    place, not bit for bit. The row split does not depend on the thread
+    count, so neither does the result.
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != len(v1):
         raise LengthMismatch(f"{values.shape[0]} rows of values for a map onto {len(v1)}")
+    v1 = v1 / tau
     out = np.empty((len(v2),) + values.shape[1:])
 
     def block(a, b, buf):
-        rows = _soft_rows(v1, v2[a:b], tau, buf)
-        _check_rows(rows)
-        np.matmul(rows, values, out=out[a:b])
+        s = np.matmul(v2[a:b], v1.T, out=buf)
+        sums = _exp_rows(s)
+        np.matmul(s, values, out=out[a:b])
+        out[a:b] /= sums
 
     _blas.row_blocks(block, len(v2), len(v1))
     return out
@@ -353,8 +370,10 @@ def _unsupervised_terms(C12, C21):
     C12 is any (k2, k1) array and C21 must be (k1, k2), else LengthMismatch.
     """
     C12 = np.asarray(C12, dtype=np.float64)
-    k2, k1 = C12.shape if C12.ndim == 2 else (0, 0)   # (0, 0) fails any other ndim
-    C12, C21 = _fmap_matrix(C12, k1, k2), _fmap_matrix(C21, k2, k1)
+    if C12.ndim != 2:
+        raise LengthMismatch(f"C is {C12.shape}, expected a 2-D (k2, k1) map")
+    k2, k1 = C12.shape
+    C21 = _fmap_matrix(C21, k2, k1)
     i1, i2 = np.eye(k1), np.eye(k2)
     return C12, C21, (C12 @ C21 - i2, C21 @ C12 - i1, C12.T @ C12 - i1, C21.T @ C21 - i2)
 

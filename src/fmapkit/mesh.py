@@ -108,6 +108,8 @@ class TriMesh:
             raise DegenerateMesh("non-finite vertex coordinate")
         if t.ndim != 2 or t.shape[1] != 3 or not len(t):
             raise DegenerateMesh(f"triangles must be (m, 3) with m >= 1, got {t.shape}")
+        if t.dtype.kind not in "iu":
+            raise LengthMismatch(f"triangle indices must be integers, got {t.dtype} {t.shape}")
         t = _vertex_indices(t.ravel(), len(v), "triangle").reshape(-1, 3)
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 0] == t[:, 2]):
             raise DegenerateMesh("triangle with repeated vertex index")

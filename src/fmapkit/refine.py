@@ -47,9 +47,12 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     Adjoint mode never builds its (n2, n1) soft maps: each iteration pulls
     Phi1 back through one row block of the soft map at a time
     (`fmap._soft_apply`), so it holds O(workers * ROW_BLOCK * n1) bytes
-    plus a few (n2, k) arrays, with the bits of
-    properness_project(soft_map(Phi1, Phi2 C), basis1, basis2). Feature
-    mode builds its one soft map whole.
+    plus a few (n2, k) arrays. It folds 1 / tau into Phi1 and normalises
+    the pulled-back (rows, k) block rather than the (rows, n1) soft-map
+    block, so each step agrees with
+    properness_project(soft_map(Phi1, Phi2 C), basis1, basis2) to a few
+    units in the last place, not bit for bit. Feature mode builds its one
+    soft map whole.
     """
     if mode not in ("adjoint", "feature"):
         raise ValueError(f"unknown refine mode {mode!r}")

@@ -19,43 +19,44 @@ COMPLETENESS2 = {
 }
 
 # refine_proper from C_gt + 0.1 * N(0,1) noise (seed 17), default tau, 10
-# iterations (criterion 07 and test_refine.py)
+# iterations (criterion 07 and test_refine.py), with 1/tau folded into Phi1
+# (fmap._soft_apply)
 NOISY_TRACE = {
     "SkylakeX": [
-        7.954667664447678,
-        0.07807151933595174,
-        0.016367384353833333,
-        0.004639617788321318,
-        0.0016407904687774349,
-        0.0006473822914610058,
-        0.00027216094785719987,
-        0.0001211229308643503,
-        5.688478062433634e-05,
-        2.7974495771932215e-05,
+        7.954667664447677,
+        0.07807151933595177,
+        0.016367384353833316,
+        0.004639617788321331,
+        0.0016407904687774154,
+        0.0006473822914610087,
+        0.0002721609478571986,
+        0.0001211229308643511,
+        5.688478062433826e-05,
+        2.7974495771931738e-05,
     ],
     "Haswell": [
-        7.9546676644477445,
-        0.0780715193359421,
-        0.016367384353830915,
-        0.004639617788321025,
-        0.0016407904687775275,
-        0.0006473822914610985,
-        0.0002721609478572582,
-        0.00012112293086438348,
-        5.688478062435753e-05,
-        2.797449577194309e-05,
+        7.954667664447745,
+        0.07807151933594202,
+        0.01636738435383088,
+        0.004639617788321042,
+        0.0016407904687775151,
+        0.0006473822914611114,
+        0.0002721609478572572,
+        0.00012112293086438705,
+        5.688478062435523e-05,
+        2.79744957719444e-05,
     ],
     "Sandybridge": [
         7.954667664447631,
-        0.07807151933595627,
-        0.0163673843538349,
-        0.00463961778832202,
-        0.0016407904687777463,
-        0.0006473822914611763,
-        0.0002721609478572787,
-        0.00012112293086439592,
-        5.6884780624356e-05,
-        2.7974495771943166e-05,
+        0.07807151933595624,
+        0.016367384353834943,
+        0.004639617788322009,
+        0.0016407904687777601,
+        0.0006473822914611768,
+        0.0002721609478572775,
+        0.00012112293086439164,
+        5.6884780624357296e-05,
+        2.797449577194509e-05,
     ],
 }
 

@@ -307,6 +307,32 @@ class TestSoftMap:
         with np.errstate(invalid="ignore"), pytest.raises(LengthMismatch, match="finite"):
             soft_map(G1, G2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["G1", "G2"])
+    def test_soft_map_and_block_pull_back_reject_the_same_descriptors(self, side, bad):
+        rng = np.random.default_rng(11)
+        G1, G2 = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        values = rng.standard_normal((6, 2))
+        (G1 if side == "G1" else G2)[2, 1] = bad
+        messages = []
+        for call in (lambda: soft_map(G1, G2), lambda: fmap._soft_apply(G1, G2, values)):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(LengthMismatch, match="finite") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_soft_map_and_block_pull_back_accept_the_same_minus_inf(self):
+        # -inf in G1[2] against positive G2 makes column 2 all -inf: weight 0,
+        # every row still finite
+        rng = np.random.default_rng(11)
+        G1, G2 = rng.standard_normal((6, 3)), np.abs(rng.standard_normal((4, 3)))
+        values = rng.standard_normal((6, 2))
+        G1[2, 1] = -np.inf
+        pm = soft_map(G1, G2)
+        assert np.all(pm[:, 2] == 0.0) and np.isfinite(pm).all()
+        assert fmap._soft_apply(G1, G2, values) == pytest.approx(pm @ values, rel=1e-14)
+
     def test_block_apply_validation(self):
         with pytest.raises(ValueError):
             fmap._soft_apply(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), tau=0.0)
@@ -406,6 +432,12 @@ class TestLosses:
 
     def test_unsupervised_positive_elsewhere(self):
         assert loss_unsupervised(2 * np.eye(3), np.eye(3)) > 0
+
+    @pytest.mark.parametrize("loss", [loss_unsupervised, grad_unsupervised])
+    def test_a_map_that_is_not_2d_is_named_as_such(self, loss):
+        with pytest.raises(LengthMismatch) as info:
+            loss(np.zeros((1, 3, 3)), np.eye(3))
+        assert str(info.value) == "C is (1, 3, 3), expected a 2-D (k2, k1) map"
 
     def test_gradient_zero_at_minimum(self):
         g12, g21 = grad_unsupervised(np.eye(4), np.eye(4))

@@ -107,6 +107,11 @@ class TestTriMeshValidation:
         with pytest.raises(DegenerateMesh, match="m >= 1"):
             TriMesh(np.zeros((0, 3)), np.zeros((0, 3), int))
 
+    def test_float_triangles_name_their_own_shape(self):
+        with pytest.raises(LengthMismatch) as info:
+            TriMesh(np.eye(3), np.array([[0.0, 1.0, 2.0]]))
+        assert str(info.value) == "triangle indices must be integers, got float64 (1, 3)"
+
 
 class TestAreas:
     def test_tetra_total_area_is_analytic(self, tetra):

@@ -11,6 +11,7 @@ from fmapkit import _blas, refine
 from fmapkit.errors import LengthMismatch, MissingFeatures
 from fmapkit.evaluate import geodesic_error
 from fmapkit.fmap import (
+    DEFAULT_TAU,
     convert_adjoint,
     properness_project,
     soft_map,
@@ -88,14 +89,60 @@ class TestRefineProper:
     @pytest.mark.parametrize("row_block", [1, 7, None])
     def test_adjoint_step_equals_soft_map_then_projection(self, pair, noisy_start,
                                                           monkeypatch, row_block):
+        # one adjoint step against the folded formula written out here: per
+        # row block, exp(s - s.max(1)) with s = rows2 @ (Phi1 / tau).T, the
+        # unnormalised pull-back, then the division by the row sums
         if row_block is not None:
             monkeypatch.setattr(_blas, "ROW_BLOCK", row_block)
-        phi1, phi2 = pair.basis1.phi, pair.basis2.phi
+        phi1 = pair.basis1.phi
         C, _ = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=1)
-        with _blas.single_threaded():   # phi2 @ C at one thread, as inside refine_proper
-            C_ref = properness_project(soft_map(phi1, phi2 @ noisy_start), pair.basis1,
-                                       pair.basis2)
+        with _blas.single_threaded():   # every product at one thread, as inside refine_proper
+            g2, v1 = pair.basis2.phi @ noisy_start, phi1 / DEFAULT_TAU
+            pulled = np.empty_like(g2)
+            for a in range(0, len(g2), _blas.ROW_BLOCK):
+                s = g2[a:a + _blas.ROW_BLOCK] @ v1.T
+                e = np.exp(s - s.max(axis=1, keepdims=True))
+                pulled[a:a + len(e)] = (e @ phi1) / e.sum(axis=1, keepdims=True)
+            C_ref = pair.basis2.project(pulled)
         assert np.array_equal(C, C_ref)
+
+    def test_adjoint_step_agrees_with_soft_map_then_projection(self, pair, noisy_start):
+        # Both C and C_ref are Phi2^T M2 (Pi Phi1), Pi = soft_map(Phi1, G2)
+        # with G2 = Phi2 C0 (the same bits in both), rounded differently.
+        # First order, with u = 2**-53 and gamma_m = m u / (1 - m u) (Higham,
+        # Sec. 3.1; any summation order): each path's similarity is within
+        # (gamma_k + u) S_ij of exact, S = |G2| |Phi1|^T / tau, and so is
+        # each row's max, so the shifted similarities of the two paths
+        # differ by at most 4 (gamma_k + u) max_j S_ij; with exp's rounding
+        # (taken as 2u per path) their weights differ by a factor within
+        # rho_i = expm1(4 (gamma_k + u) max_j S_ij) + 4u. Row sums and the
+        # pull-back products add gamma_n1 per path, the divisions u each,
+        # so row i of Pi Phi1 differs by eps_i = 2 rho_i + 4 gamma_n1 + 2u
+        # times P_i = (Pi |Phi1|)_i, and the projection's two GEMMs add
+        # 2 gamma_n2 + 2u (the mass product) of |Phi2|^T M2 P. Doubled
+        # for the second-order terms:
+        #   |C - C_ref| <= 2 |Phi2|^T M2 ((eps + 2 gamma_n2 + 2u) P).
+        # Measured: the largest |C - C_ref| is 5.5e-16 of max |C| and 2.0e-4
+        # of this bound on SkylakeX (a margin of ~5000), 3.3e-16 and
+        # 1.2-1.3e-4 on Haswell and Sandybridge.
+        phi1, phi2 = pair.basis1.phi, pair.basis2.phi
+        n1, n2, k = len(phi1), len(phi2), pair.basis1.k
+        u = 2.0 ** -53
+
+        def gamma(m):
+            return m * u / (1 - m * u)
+
+        C, _ = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=1)
+        with _blas.single_threaded():
+            g2 = phi2 @ noisy_start
+        pi = soft_map(phi1, g2)
+        C_ref = properness_project(pi, pair.basis1, pair.basis2)
+        S = np.abs(g2) @ np.abs(phi1).T / DEFAULT_TAU
+        rho = np.expm1(4 * (gamma(k) + u) * S.max(axis=1)) + 4 * u
+        eps = 2 * rho + 4 * gamma(n1) + 2 * u + 2 * gamma(n2) + 2 * u
+        bound = 2 * np.abs(phi2).T @ (pair.basis2.mass[:, None] * eps[:, None]
+                                      * (pi @ np.abs(phi1)))
+        assert np.all(np.abs(C - C_ref) <= bound)
 
     def test_holds_one_soft_map_at_a_time(self, pair, noisy_start, monkeypatch):
         # adjoint mode holds no soft map at all: one row block per worker and

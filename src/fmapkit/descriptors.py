@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import AllEigenvaluesExcluded, LengthMismatch
 from .mesh import TriMesh, _vertex_indices
-from .spectral import SpectralBasis, _feature_values, diffuse
+from .spectral import SpectralBasis, _matrix, _rows, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
 EIG_CUTOFF = 1e-8
@@ -23,11 +23,8 @@ def concat_features(parts: list[np.ndarray]) -> np.ndarray:
     """Column-concatenate (n, d_i) descriptor arrays into one (n, sum d_i) array."""
     if not parts:
         raise LengthMismatch("nothing to concatenate")
-    parts = [_feature_values(p) for p in parts]
-    for p in parts:
-        if len(p) != len(parts[0]):
-            raise LengthMismatch(f"row counts differ: {len(parts[0])} vs {len(p)}")
-    return np.hstack(parts)
+    first = _matrix(parts[0])
+    return np.hstack([first] + [_matrix(p, len(first)) for p in parts[1:]])
 
 
 def descriptor_xyz(mesh: TriMesh) -> np.ndarray:
@@ -54,8 +51,8 @@ def descriptor_hks(basis: SpectralBasis, times) -> np.ndarray:
     strictly positive on a connected mesh. One column per time, in order.
     """
     times = np.asarray(times, dtype=np.float64).ravel()
-    if times.size == 0 or np.any(times < 0):
-        raise ValueError("times must be non-empty and non-negative")
+    if times.size == 0 or not ((times >= 0) & (times < np.inf)).all():
+        raise ValueError("times must be non-empty, finite and non-negative")
     decay = np.exp(-np.outer(times, basis.lam))        # (T, k)
     return np.einsum("nk,tk->nt", basis.phi ** 2, decay)
 
@@ -85,10 +82,10 @@ def descriptor_wks(basis: SpectralBasis, energies, sigma: float) -> np.ndarray:
     is undefined and AllEigenvaluesExcluded is raised.
     """
     energies = np.asarray(energies, dtype=np.float64).ravel()
-    if energies.size == 0:
-        raise ValueError("need at least one energy")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if energies.size == 0 or not np.isfinite(energies).all():
+        raise ValueError("need at least one energy, all finite")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     lam = basis.lam
     lam_max = float(lam.max()) if lam.size else 0.0
     keep = (lam > 0.0) & (lam >= EIG_CUTOFF * lam_max)
@@ -121,15 +118,17 @@ def descriptor_landmarks(basis: SpectralBasis, landmarks, t: float) -> np.ndarra
 
 def project_coeffs(basis: SpectralBasis, features) -> np.ndarray:
     """Spectral coefficients A = Phi^T M F, shape (k, d)."""
-    return basis.project(_feature_values(features))
+    return basis.project(_matrix(features))
 
 
 def normalize_columns(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Scale each column to unit M-norm; conditions the map least squares.
+    """Scale each (n, d) column to unit M-norm under an (n,) mass; conditions
+    the map least squares.
 
     Zero columns are left untouched: they carry no information either way.
     """
-    values = _feature_values(values)
+    values = _matrix(values)
+    mass = _rows(mass, len(values), stack=False)
     norms = np.sqrt(np.einsum("n,nd->d", mass, values ** 2))
     return values / np.where(norms == 0, 1.0, norms)
 

@@ -23,13 +23,12 @@ from .fmap import (
     convert_feature_nn,
     loss_properness,
     properness_project,
-    _fmap_matrix,
     _nearest,
     _pull_back,
     _sq_dist,
 )
 from .mesh import _fmt
-from .spectral import SpectralBasis, _feature_values
+from .spectral import SpectralBasis, _matrix
 
 ORACLE_TOL = 1e-8
 N_PROBE_MAPS = 10   # random hard maps the oracle checks the energy identity on
@@ -41,7 +40,7 @@ def measure_completeness(basis: SpectralBasis, features) -> float:
     1 means the columns lie in span(Phi); 0 means they are M-orthogonal to
     it. Raises ZeroFeatures for an identically zero stack.
     """
-    values = _feature_values(features)
+    values = _matrix(features)
     resid = values - basis.reconstruct(basis.project(values))
     den = float(np.einsum("n,nd->", basis.mass, values ** 2))
     if den == 0.0:
@@ -69,12 +68,11 @@ def measure_basis_aligning(C: np.ndarray, basis1: SpectralBasis, basis2: Spectra
 
     Pi is C's adjoint map; `adjoint` passes it as in measure_properness.
     """
-    C = _fmap_matrix(C, basis1.k, basis2.k)
+    C = _matrix(C, basis2.k, basis1.k)
     if adjoint is None:
         adjoint = convert_adjoint(C, basis1.phi, basis2.phi)
-    pulled = _pull_back(adjoint, basis1.phi)
-    if len(pulled) != basis2.n:   # a one-row map would broadcast against Phi2 C
-        raise LengthMismatch(f"a map of {len(pulled)} rows for {basis2.n} rows of phi2")
+    # a one-row map would broadcast against Phi2 C
+    pulled = _matrix(_pull_back(adjoint, basis1.phi), basis2.n)
     return float(np.linalg.norm(basis2.phi @ C - pulled))
 
 
@@ -89,8 +87,9 @@ def _rank(x) -> int:
 
 @single_threaded()
 def rank_report(F, A) -> tuple[int, int]:
-    """Numerical ranks of the descriptor stack and its coefficients."""
-    return _rank(_feature_values(F)), _rank(A)
+    """Numerical ranks of the (n, d) descriptor stack and its (k, d) coefficients."""
+    values = _matrix(F)
+    return _rank(values), _rank(_matrix(A, cols=values.shape[1]))
 
 
 @single_threaded()
@@ -100,7 +99,7 @@ def nn_distinctness(features) -> float:
     Exact, as the full cdist table gives it, in O(n) memory beyond the
     row blocks (_nearest_other); nan for a non-finite stack.
     """
-    values = _feature_values(features)
+    values = _matrix(features)
     if len(values) < 2:
         raise LengthMismatch("need at least two rows")
     if not np.isfinite(values).all():
@@ -127,10 +126,9 @@ def energy_terms(pi: np.ndarray, F1, F2, basis2: SpectralBasis):
     M-orthogonal to span(Phi2). E = E1 + E2 holds exactly (orthogonal
     projection), which makes the identity a meaningful machine check.
     """
-    v1, v2 = _feature_values(F1), _feature_values(F2)
-    x = _pull_back(pi, v1)
-    if len(x) != len(v2):   # a one-row map would broadcast against F2
-        raise LengthMismatch(f"a map of {len(x)} rows for {len(v2)} rows of F2")
+    v1 = _matrix(F1)
+    v2 = _matrix(F2, cols=v1.shape[1])
+    x = _matrix(_pull_back(pi, v1), len(v2))   # a one-row map would broadcast against F2
     x -= v2
     mass = basis2.mass
     e = float(np.einsum("n,nd->", mass, x ** 2))
@@ -217,7 +215,8 @@ def theorem_oracle(F1, F2, basis1: SpectralBasis, basis2: SpectralBasis,
     chamfer are normalized by the scale of their targets so the 1e-8
     verdict thresholds mean the same thing across fixtures.
     """
-    v1, v2 = _feature_values(F1), _feature_values(F2)
+    v1 = _matrix(F1)
+    v2 = _matrix(F2, cols=v1.shape[1])
     a1 = basis1.project(v1)
     a2 = basis2.project(v2)
     c_opt = np.linalg.lstsq(a1.T, a2.T, rcond=None)[0].T
@@ -291,10 +290,9 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
     pair, rank(A1) and distinctness instead of measuring them again. The
     report text is the same either way.
     """
-    v1 = _feature_values(F1)
+    v1 = _matrix(F1)
     if verdict is None:
-        comp = min(measure_completeness(basis1, v1),
-                   measure_completeness(basis2, _feature_values(F2)))
+        comp = min(measure_completeness(basis1, v1), measure_completeness(basis2, F2))
         rank_f, rank_a = rank_report(v1, basis1.project(v1))
         distinct = nn_distinctness(v1)
     else:

@@ -3,11 +3,15 @@
 Bad data and bad shapes raise an FmapError subclass, so callers (and the
 CLI) can tell data problems from genuine bugs. Any vertex index outside
 the mesh raises IndexOutOfRange, and an index array that is not 1-D
-integers raises LengthMismatch. A parameter out of its range raises
-ValueError: tau, mu, a diffusion time t, iters, sigma or the refine mode;
-empty HKS times or WKS energies, or energies with no spectral support;
-mu > 0 without eigenvalues; nearest rows sought among no points. The CLI
-checks its flags before they reach the library, and exits 2 on a bad one.
+integers raises LengthMismatch. An array of the wrong shape, or two arrays
+that must agree in width or row count and do not, raise LengthMismatch
+naming the expected shape (spectral's one shape check). A parameter out of
+its range raises ValueError, NaN included: tau, sigma (finite, > 0), mu, a
+diffusion time t and HKS times (finite, >= 0), iters or the refine mode;
+empty HKS times or WKS energies, a non-finite energy, or energies with
+no spectral support; mu > 0 without eigenvalues; nearest rows sought
+among no points. The CLI checks its flags before they reach the library,
+and exits 2 on a bad one.
 """
 
 

@@ -18,7 +18,7 @@ from . import _blas
 from ._blas import single_threaded
 from .errors import LengthMismatch, RankDeficient
 from .mesh import _vertex_indices
-from .spectral import SpectralBasis, _feature_values
+from .spectral import SpectralBasis, _matrix, _rows
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -29,14 +29,6 @@ DEFAULT_MU = 1e-3
 
 # the LengthMismatch of a bad soft-map row, given (_check_rows) or computed (_exp_rows)
 _BAD_ROWS = "soft map rows must be finite, non-negative and sum to 1"
-
-
-def _fmap_matrix(C, k1: int, k2: int) -> np.ndarray:
-    """A functional map as a float64 (k2, k1) array; any other shape is LengthMismatch."""
-    C = np.asarray(C, dtype=np.float64)
-    if C.shape != (k2, k1):
-        raise LengthMismatch(f"C is {C.shape}, expected ({k2}, {k1})")
-    return C
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -66,15 +58,12 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
 
     With mu = 0 the eigenvalues are not needed, but A1 must have full row
     rank: a Gram matrix singular beyond a 1e-10 relative eigenvalue
-    threshold raises RankDeficient.
+    threshold raises RankDeficient. mu must be finite and >= 0.
     """
-    A1, A2 = _feature_values(A1), _feature_values(A2)
-    if A1.shape[1] != A2.shape[1]:
-        raise LengthMismatch(
-            f"coefficient shapes {A1.shape} and {A2.shape} do not share d"
-        )
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    A1 = _matrix(A1)
+    A2 = _matrix(A2, cols=A1.shape[1])
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     k1 = A1.shape[0]
     gram = A1 @ A1.T
     rhs = A2 @ A1.T                                   # (k2, k1)
@@ -88,10 +77,8 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
         return np.linalg.solve(gram, rhs.T).T
     if lam1 is None or lam2 is None:
         raise ValueError("mu > 0 needs both eigenvalue vectors")
-    lam1 = np.asarray(lam1, dtype=np.float64).ravel()
-    lam2 = np.asarray(lam2, dtype=np.float64).ravel()
-    if lam1.size != k1 or lam2.size != A2.shape[0]:
-        raise LengthMismatch("eigenvalue lengths do not match coefficient rows")
+    lam1 = _rows(np.ravel(lam1), k1, stack=False)
+    lam2 = _rows(np.ravel(lam2), len(A2), stack=False)
     penalties = (lam2[:, None] - lam1[None, :]) ** 2  # (k2, k1)
     mats = np.broadcast_to(gram, (lam2.size, k1, k1)).copy()
     diag = np.arange(k1)
@@ -201,12 +188,8 @@ def nearest_rows(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     answer does not depend on how the BLAS kernel rounds (a classical
     GEMM is assumed, no Strassen-like product).
     """
-    queries, points = _feature_values(queries), _feature_values(points)
-    if queries.shape[1] != points.shape[1]:
-        raise LengthMismatch(
-            f"dimension mismatch: {queries.shape[1]} vs {points.shape[1]}"
-        )
-    return _nearest(queries, points)
+    queries = _matrix(queries)
+    return _nearest(queries, _matrix(points, cols=queries.shape[1]))
 
 
 @single_threaded()
@@ -216,23 +199,20 @@ def convert_adjoint(C: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.nda
     Each row of Phi2 C (the shape-2 vertices pushed into shape 1's
     coefficient space) is matched to its nearest row of Phi1.
     """
-    phi1, phi2 = _feature_values(phi1), _feature_values(phi2)
-    return nearest_rows(phi2 @ _fmap_matrix(C, phi1.shape[1], phi2.shape[1]), phi1)
+    phi1, phi2 = _matrix(phi1), _matrix(phi2)
+    return nearest_rows(phi2 @ _matrix(C, phi2.shape[1], phi1.shape[1]), phi1)
 
 
 def convert_feature_nn(F1, F2) -> np.ndarray:
     """Hard map, (n2,) int64, by nearest neighbors between descriptor rows."""
-    v1, v2 = _feature_values(F1), _feature_values(F2)
-    return nearest_rows(v2, v1)
+    return nearest_rows(F2, F1)
 
 
 def _soft_inputs(G1, G2, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    v1, v2 = _feature_values(G1), _feature_values(G2)
-    if v1.shape[1] != v2.shape[1]:
-        raise LengthMismatch(f"dimension mismatch: {v1.shape[1]} vs {v2.shape[1]}")
-    return v1, v2
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    v1 = _matrix(G1)
+    return v1, _matrix(G2, cols=v1.shape[1])
 
 
 def _exp_rows(s: np.ndarray) -> np.ndarray:
@@ -299,11 +279,9 @@ def _soft_apply(G1, G2, values, tau: float = DEFAULT_TAU) -> np.ndarray:
     count, so neither does the result.
     """
     v1, v2 = _soft_inputs(G1, G2, tau)
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != len(v1):
-        raise LengthMismatch(f"{values.shape[0]} rows of values for a map onto {len(v1)}")
+    values = _matrix(values, len(v1))
     v1 = v1 / tau
-    out = np.empty((len(v2),) + values.shape[1:])
+    out = np.empty((len(v2), values.shape[1]))
 
     def block(a, b, buf):
         s = np.matmul(v2[a:b], v1.T, out=buf)
@@ -331,9 +309,7 @@ def _pull_back(pi, values) -> np.ndarray:
     pi = np.asarray(pi)
     if pi.ndim == 1:
         return values[_vertex_indices(pi, n1, "point map")]
-    if pi.ndim != 2 or pi.shape[1] != n1:
-        raise LengthMismatch(f"not a point map onto {n1} rows: {pi.dtype} {pi.shape}")
-    pi = np.asarray(pi, dtype=np.float64)
+    pi = _matrix(pi, cols=n1)
     out = np.empty((len(pi),) + values.shape[1:])
 
     def block(a, b, _):
@@ -356,10 +332,8 @@ def properness_project(pi, basis1: SpectralBasis, basis2: SpectralBasis) -> np.n
 
 def loss_properness(C_pred: np.ndarray, C_proper: np.ndarray) -> float:
     """Squared Frobenius distance between a map and its proper projection."""
-    C_pred = np.asarray(C_pred, dtype=np.float64)
-    C_proper = np.asarray(C_proper, dtype=np.float64)
-    if C_pred.shape != C_proper.shape:
-        raise LengthMismatch(f"shapes differ: {C_pred.shape} vs {C_proper.shape}")
+    C_pred = _matrix(C_pred)
+    C_proper = _matrix(C_proper, *C_pred.shape)
     return float(np.sum((C_pred - C_proper) ** 2))
 
 
@@ -369,11 +343,9 @@ def _unsupervised_terms(C12, C21):
 
     C12 is any (k2, k1) array and C21 must be (k1, k2), else LengthMismatch.
     """
-    C12 = np.asarray(C12, dtype=np.float64)
-    if C12.ndim != 2:
-        raise LengthMismatch(f"C is {C12.shape}, expected a 2-D (k2, k1) map")
+    C12 = _matrix(C12)
     k2, k1 = C12.shape
-    C21 = _fmap_matrix(C21, k2, k1)
+    C21 = _matrix(C21, k1, k2)
     i1, i2 = np.eye(k1), np.eye(k2)
     return C12, C21, (C12 @ C21 - i2, C21 @ C12 - i1, C12.T @ C12 - i1, C21.T @ C21 - i2)
 

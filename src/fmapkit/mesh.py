@@ -524,4 +524,6 @@ def load_correspondence(path) -> np.ndarray:
 
 
 def save_correspondence(indices, path) -> None:
-    write_table(np.asarray(indices, dtype=np.int64).reshape(-1, 1), path)
+    """One index per line; checked by `_vertex_indices` first, so a file is
+    written only if load_correspondence would read it back."""
+    write_table(_vertex_indices(indices, 2**63, "correspondence").reshape(-1, 1), path)

@@ -12,16 +12,9 @@ import numpy as np
 
 from ._blas import single_threaded
 from .errors import MissingFeatures
-from .fmap import (
-    DEFAULT_TAU,
-    _fmap_matrix,
-    _soft_apply,
-    loss_properness,
-    properness_project,
-    soft_map,
-)
+from .fmap import DEFAULT_TAU, _soft_apply, loss_properness, properness_project, soft_map
 from .mesh import _fmt
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _matrix
 
 # stop when the properness residual, or its change between iterations,
 # drops below this
@@ -58,9 +51,9 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
         raise ValueError(f"unknown refine mode {mode!r}")
     if mode == "feature" and (F1 is None or F2 is None):
         raise MissingFeatures("feature mode needs both descriptor stacks")
-    if iters < 1:
+    if not iters >= 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    C = _fmap_matrix(C0, basis1.k, basis2.k)
+    C = _matrix(C0, basis2.k, basis1.k)
     if mode == "feature":
         C_next = properness_project(soft_map(F1, F2, tau), basis1, basis2)
         r = loss_properness(C, C_next)

@@ -54,12 +54,29 @@ SPARSE_K_RATIO = 8
 SPARSE_SHIFT = 1e-8
 
 
-def _feature_values(f) -> np.ndarray:
-    """A descriptor stack as a float64 (n, d) array; any other shape is LengthMismatch."""
-    values = np.asarray(f, dtype=np.float64)
-    if values.ndim != 2:
-        raise LengthMismatch(f"expected (n, d) array, got shape {values.shape}")
-    return values
+def _matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """`a` as a float64 2-D array of `rows` rows and `cols` columns where
+    given, the one 2-D shape check: a descriptor stack (n, d), coefficients
+    (k, d), a functional map (k2, k1), a soft map (n2, n1).
+
+    Any other shape raises LengthMismatch naming the expected shape, with
+    n and d for a size that is not checked.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
+        want = f"{'n' if rows is None else rows}, {'d' if cols is None else cols}"
+        raise LengthMismatch(f"expected ({want}) array, got shape {a.shape}")
+    return a
+
+
+def _rows(a, n: int, stack: bool = True) -> np.ndarray:
+    """`a` as a float64 (n,) vector or, with `stack`, an (n, d) stack too;
+    any other shape is LengthMismatch."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in ((1, 2) if stack else (1,)) or len(a) != n:
+        want = f"({n},) or ({n}, d)" if stack else f"({n},)"
+        raise LengthMismatch(f"expected {want}, got {a.shape}")
+    return a
 
 
 @dataclass
@@ -156,15 +173,13 @@ class SpectralBasis:
     @single_threaded()
     def project(self, f: np.ndarray) -> np.ndarray:
         """Coefficients Phi^T M f; f is (n,) or (n, d), else LengthMismatch."""
-        f = np.asarray(f, dtype=np.float64)
-        if f.ndim not in (1, 2) or len(f) != self.n:
-            raise LengthMismatch(f"expected ({self.n},) or ({self.n}, d), got {f.shape}")
+        f = _rows(f, self.n)
         return self.phi.T @ (self.mass[:, None] * f if f.ndim == 2 else self.mass * f)
 
     @single_threaded()
     def reconstruct(self, a: np.ndarray) -> np.ndarray:
-        """Synthesis Phi a; a is (k,) or (k, d)."""
-        return self.phi @ np.asarray(a, dtype=np.float64)
+        """Synthesis Phi a; a is (k,) or (k, d), else LengthMismatch."""
+        return self.phi @ _rows(a, self.k)
 
     def truncate(self, k: int) -> "SpectralBasis":
         if not 1 <= k <= self.k:
@@ -267,13 +282,13 @@ def _smoothing_size(j: int, n: int) -> int:
 
 
 def diffuse(basis: SpectralBasis, f: np.ndarray, t: float) -> np.ndarray:
-    """Heat diffusion Phi exp(-t lambda) Phi^T M f for t >= 0.
+    """Heat diffusion Phi exp(-t lambda) Phi^T M f for a finite t >= 0.
 
     Works column-wise when f is (n, d). Contracts the M-norm and converges
     to the area-weighted mean (times the constant) as t grows.
     """
-    if t < 0:
-        raise ValueError(f"diffusion time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"diffusion time must be finite and >= 0, got {t}")
     a = basis.project(f)
     decay = np.exp(-t * basis.lam)
     return basis.reconstruct(a * (decay[:, None] if a.ndim == 2 else decay))
@@ -286,7 +301,7 @@ def smooth_features(basis: SpectralBasis, values: np.ndarray, t: float) -> np.nd
     this basis by construction (completeness 1 up to rounding), whatever the
     input was.
     """
-    return diffuse(basis, _feature_values(values), t)
+    return diffuse(basis, _matrix(values), t)
 
 
 def eigen_residuals(lap: LaplacianPair, basis: SpectralBasis) -> np.ndarray:

@@ -6,6 +6,8 @@ brute-force double loop, the soft map against an unstabilized softmax, and
 the analytic gradients against central finite differences.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -437,7 +439,7 @@ class TestLosses:
     def test_a_map_that_is_not_2d_is_named_as_such(self, loss):
         with pytest.raises(LengthMismatch) as info:
             loss(np.zeros((1, 3, 3)), np.eye(3))
-        assert str(info.value) == "C is (1, 3, 3), expected a 2-D (k2, k1) map"
+        assert str(info.value) == "expected (n, d) array, got shape (1, 3, 3)"
 
     def test_gradient_zero_at_minimum(self):
         g12, g21 = grad_unsupervised(np.eye(4), np.eye(4))
@@ -469,6 +471,7 @@ C_TAKERS = {
         C, b1, b2, mode="feature", F1=b1.phi[:, :12], F2=b2.phi),
     "loss_unsupervised": lambda b1, b2, C: loss_unsupervised(C, np.zeros((20, 12))),
     "grad_unsupervised": lambda b1, b2, C: grad_unsupervised(C, np.zeros((20, 12))),
+    "loss_properness": lambda b1, b2, C: loss_properness(np.zeros((12, 20)), C),
 }
 
 
@@ -481,8 +484,11 @@ def ico162_bases(ico162):
 @pytest.mark.parametrize("shape", [(20, 12), (1, 12, 20)])
 @pytest.mark.parametrize("name", sorted(C_TAKERS))
 def test_a_functional_map_of_another_shape_is_length_mismatch(ico162_bases, name, shape):
-    """One rule for C, fmap._fmap_matrix: float64 (k2, k1), else
-    LengthMismatch, never a numpy ValueError."""
+    """One rule for C, spectral._matrix(C, k2, k1): float64 (k2, k1), else
+    LengthMismatch, never a numpy ValueError. The losses take the first
+    map as any 2-D array, so a 3-D one is named as (n, d)."""
     basis1, basis2 = ico162_bases
-    with pytest.raises(LengthMismatch, match="C is"):
+    expected = r"\((12, 20|n, d)\)" if len(shape) == 3 else r"\(12, 20\)"
+    with pytest.raises(LengthMismatch,
+                       match=rf"expected {expected} array, got shape {re.escape(str(shape))}"):
         C_TAKERS[name](basis1, basis2, np.zeros(shape))

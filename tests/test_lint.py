@@ -1,7 +1,7 @@
 """Every import in the library is used, every module-level private name
 is read somewhere in it, every module-level cache is emptied between
-tests, and IndexOutOfRange has one raise site: AST checks, with no linter
-needed.
+tests, IndexOutOfRange has one raise site and LengthMismatch a pinned few:
+AST checks, with no linter needed.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check.
@@ -202,3 +202,25 @@ def test_index_out_of_range_has_one_raise_site():
     """mesh._vertex_indices is the one vertex-index check."""
     sources = {p.name: p.read_text() for p in MODULES}
     assert raise_sites(sources, "IndexOutOfRange") == ["mesh.py: _vertex_indices"]
+
+
+def test_length_mismatch_raise_sites_are_pinned():
+    """Array shapes are checked in spectral, by _matrix (2-D) and _rows
+    ((n,) or (n, d)), and vertex indices by mesh._vertex_indices; a new
+    hand-written shape comparison adds a site here. The others check
+    something a shape cannot say: an empty part list, fewer than two rows,
+    soft-map row values, a prediction and ground truth of different
+    lengths, no errors to aggregate, triangles that are not integers."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert raise_sites(sources, "LengthMismatch") == [
+        "descriptors.py: concat_features",
+        "diagnostics.py: nn_distinctness",
+        "evaluate.py: geodesic_error",
+        "evaluate.py: accuracy_curve",
+        "fmap.py: _check_rows",
+        "fmap.py: _exp_rows",
+        "mesh.py: _vertex_indices",
+        "mesh.py: __init__",
+        "spectral.py: _matrix",
+        "spectral.py: _rows",
+    ]

@@ -554,6 +554,16 @@ class TestCorrespondenceIO:
         save_correspondence(idx, path)
         assert np.array_equal(load_correspondence(path), idx)
 
+    @pytest.mark.parametrize("indices, error", [
+        ([-1, 2], IndexOutOfRange), ([1.7, 2], LengthMismatch), ([[1], [2]], LengthMismatch),
+        (np.array([2**63, 1], dtype=np.uint64), IndexOutOfRange)])
+    def test_save_writes_only_what_load_reads(self, tmp_path, indices, error):
+        """Checked by mesh._vertex_indices before anything is written."""
+        path = tmp_path / "c.txt"
+        with pytest.raises(error):
+            save_correspondence(indices, path)
+        assert not path.exists()
+
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("3\n-1\n")

@@ -182,6 +182,10 @@ class TestRefineProper:
         with pytest.raises(ValueError, match="iters"):
             refine_proper(pair.C_gt, pair.basis1, pair.basis2, iters=0)
 
+    def test_nan_iters_rejected(self, pair):
+        with pytest.raises(ValueError, match="iters"):
+            refine_proper(pair.C_gt, pair.basis1, pair.basis2, iters=np.nan)
+
     def test_deterministic(self, pair, noisy_start):
         C_a, t_a = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)
         C_b, t_b = refine_proper(noisy_start, pair.basis1, pair.basis2, iters=10)

@@ -8,6 +8,7 @@ edge weight 0 on a square split along its diagonal, -1 on a kite whose
 opposite angles are 45 degrees).
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,11 +20,33 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 import oracles as orc
 from fmapkit import spectral, synth
 from fmapkit._blas import single_threaded
-from fmapkit.descriptors import concat_features, normalize_columns, project_coeffs
-from fmapkit.diagnostics import measure_completeness, nn_distinctness
+from fmapkit.descriptors import (
+    concat_features,
+    descriptor_hks,
+    descriptor_landmarks,
+    descriptor_wks,
+    normalize_columns,
+    project_coeffs,
+)
+from fmapkit.diagnostics import (
+    build_structure_report,
+    energy_terms,
+    measure_basis_aligning,
+    measure_completeness,
+    nn_distinctness,
+    rank_report,
+    theorem_oracle,
+)
 from fmapkit.errors import InvalidK, LengthMismatch, SolverFailure
-from fmapkit.fmap import convert_feature_nn, nearest_rows, soft_map, solve_fmap
+from fmapkit.fmap import (
+    convert_feature_nn,
+    loss_properness,
+    nearest_rows,
+    soft_map,
+    solve_fmap,
+)
 from fmapkit.mesh import TriMesh
+from fmapkit.refine import refine_proper
 from fmapkit.spectral import (
     LaplacianPair,
     SpectralBasis,
@@ -315,18 +338,82 @@ STACK_TAKERS = {
     "solve_fmap": lambda b, x: solve_fmap(x, np.eye(20), b.lam, b.lam),
     "nn_distinctness": lambda b, x: nn_distinctness(x),
     "measure_completeness": lambda b, x: measure_completeness(b, x),
+    "rank_report": lambda b, x: rank_report(x, b.project(b.phi)),
+    "energy_terms": lambda b, x: energy_terms(np.arange(162), x, b.phi, b),
+    "theorem_oracle": lambda b, x: theorem_oracle(x, b.phi, b, b),
+    "build_structure_report": lambda b, x: build_structure_report(np.eye(20), b, b, x, b.phi),
 }
 
 
 @pytest.mark.parametrize("ndim", [1, 3])
 @pytest.mark.parametrize("name", sorted(STACK_TAKERS))
 def test_a_stack_that_is_not_2d_is_length_mismatch(ico162_basis, name, ndim):
-    """One rule for a stack, spectral._feature_values: float64 (n, d), else
-    LengthMismatch, never a numpy ValueError or IndexError."""
+    """One rule for a stack, spectral._matrix: float64 (n, d), else
+    LengthMismatch, never a numpy ValueError or IndexError. concat_features
+    checks every part after the first against its row count."""
     basis, f = ico162_basis
     x = f if ndim == 1 else basis.phi[:, :, None]
-    with pytest.raises(LengthMismatch, match="expected \\(n, d\\) array"):
+    with pytest.raises(LengthMismatch, match=r"expected \((n|162), d\) array"):
         STACK_TAKERS[name](basis, x)
+
+
+# Every public function that takes two arrays which must agree in width or
+# row count, called with a pair that does not (k = 20, n = 162); the
+# expected shape the check names.
+MISMATCHED = {
+    "solve_fmap": (lambda b: solve_fmap(b.phi.T, b.phi.T[:, :5], b.lam, b.lam),
+                   "(n, 162)"),
+    "solve_fmap_eigenvalues": (lambda b: solve_fmap(b.phi.T, b.phi.T, b.lam[:5], b.lam),
+                               "(20,)"),
+    "nearest_rows": (lambda b: nearest_rows(b.phi, b.phi[:, :5]), "(n, 20)"),
+    "soft_map": (lambda b: soft_map(b.phi, b.phi[:, :5]), "(n, 20)"),
+    "concat_features": (lambda b: concat_features([b.phi, b.phi[:5]]), "(162, d)"),
+    "energy_terms_rows": (lambda b: energy_terms(np.arange(5), b.phi, b.phi, b), "(162, d)"),
+    "energy_terms_width": (lambda b: energy_terms(np.arange(162), b.phi, b.phi[:, :1], b),
+                           "(n, 20)"),
+    "measure_basis_aligning": (
+        lambda b: measure_basis_aligning(np.eye(20), b, b, adjoint=np.arange(5)), "(162, d)"),
+    "loss_properness": (lambda b: loss_properness(np.eye(20), np.eye(20)[:5]), "(20, 20)"),
+    "rank_report": (lambda b: rank_report(b.phi, np.ones(3)), "(n, 20)"),
+    "rank_report_width": (lambda b: rank_report(b.phi, np.ones((20, 3))), "(n, 20)"),
+    "theorem_oracle": (lambda b: theorem_oracle(b.phi, b.phi[:, :5], b, b), "(n, 20)"),
+    "normalize_columns": (lambda b: normalize_columns(b.phi, b.mass[:5]), "(162,)"),
+    "reconstruct": (lambda b: b.reconstruct(np.ones(5)), "(20,) or (20, d)"),
+    "reconstruct_stack": (lambda b: b.reconstruct(np.ones((5, 3))), "(20,) or (20, d)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_arrays_that_do_not_agree_are_length_mismatch(ico162_basis, name):
+    """The second array is checked against the first's size, by
+    spectral._matrix or spectral._rows: LengthMismatch naming the expected
+    shape, never a numpy ValueError or LinAlgError, nor a silent broadcast."""
+    basis, _ = ico162_basis
+    call, expected = MISMATCHED[name]
+    with pytest.raises(LengthMismatch, match=re.escape(f"expected {expected}")):
+        call(basis)
+
+
+# Every range-checked parameter, given a value that is not finite: NaN
+# compares False to every bound, so each check is written to fail on it.
+PARAMETERS = {
+    "tau_soft_map": lambda b, v: soft_map(b.phi, b.phi, tau=v),
+    "tau_refine_proper": lambda b, v: refine_proper(np.eye(20), b, b, tau=v),
+    "mu": lambda b, v: solve_fmap(b.phi.T, b.phi.T, b.lam, b.lam, mu=v),
+    "t_diffuse": lambda b, v: diffuse(b, b.phi, v),
+    "t_descriptor_landmarks": lambda b, v: descriptor_landmarks(b, [0, 5], v),
+    "times": lambda b, v: descriptor_hks(b, [1.0, v]),
+    "sigma": lambda b, v: descriptor_wks(b, [0.0], v),
+    "energies": lambda b, v: descriptor_wks(b, [0.0, v], 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_a_parameter_that_is_not_finite_is_value_error(ico162_basis, name, value):
+    basis, _ = ico162_basis
+    with pytest.raises(ValueError, match="finite"):
+        PARAMETERS[name](basis, value)
 
 
 @pytest.fixture(scope="module")

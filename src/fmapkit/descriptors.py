@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllEigenvaluesExcluded, LengthMismatch
-from .mesh import TriMesh, _vertex_indices
-from .spectral import SpectralBasis, _matrix, _rows, diffuse
+from .errors import AllEigenvaluesExcluded, LengthMismatch, _matrix, _rows, _vertex_indices
+from .mesh import TriMesh
+from .spectral import SpectralBasis, diffuse
 
 # eigenvalues below this fraction of lambda_max are treated as zero modes
 EIG_CUTOFF = 1e-8

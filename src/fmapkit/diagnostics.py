@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._blas import single_threaded
-from .errors import LengthMismatch, ZeroFeatures
+from .errors import LengthMismatch, ZeroFeatures, _matrix
 from .fmap import (
     RANK_RTOL,
     convert_adjoint,
@@ -28,7 +28,7 @@ from .fmap import (
     _sq_dist,
 )
 from .mesh import _fmt
-from .spectral import SpectralBasis, _matrix
+from .spectral import SpectralBasis
 
 ORACLE_TOL = 1e-8
 N_PROBE_MAPS = 10   # random hard maps the oracle checks the energy identity on
@@ -291,8 +291,9 @@ def build_structure_report(C: np.ndarray, basis1: SpectralBasis,
     report text is the same either way.
     """
     v1 = _matrix(F1)
+    v2 = _matrix(F2, cols=v1.shape[1])
     if verdict is None:
-        comp = min(measure_completeness(basis1, v1), measure_completeness(basis2, F2))
+        comp = min(measure_completeness(basis1, v1), measure_completeness(basis2, v2))
         rank_f, rank_a = rank_report(v1, basis1.project(v1))
         distinct = nn_distinctness(v1)
     else:

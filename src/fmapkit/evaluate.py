@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedMesh, LengthMismatch
+from .errors import DisconnectedMesh, LengthMismatch, _vertex_indices
 from . import mesh as _mesh
-from .mesh import TriMesh, _fmt, _vertex_indices, derived, graph_geodesics
+from .mesh import TriMesh, _fmt, derived, graph_geodesics
 
 _LANDMARKS = 32        # farthest-point landmarks whose rows bound each miss's distance
 _BOUND_SLACK = 1e-9    # relative slack on a landmark bound, for rounding
@@ -100,9 +100,8 @@ def geodesic_error(pred, gt, mesh_target: TriMesh) -> np.ndarray:
     raises DisconnectedMesh.
     """
     n = mesh_target.n_vertices
-    p, g = _vertex_indices(pred, n, "prediction"), _vertex_indices(gt, n, "ground truth")
-    if p.size != g.size:
-        raise LengthMismatch(f"prediction has {p.size} entries, ground truth {g.size}")
+    g = _vertex_indices(gt, n, "ground truth")
+    p = _vertex_indices(pred, n, "prediction", g.shape)
     area = mesh_target.total_area()  # first, so its temporaries never meet the rows
     miss = np.nonzero(p != g)[0]
     reach = np.full(miss.size, np.inf)

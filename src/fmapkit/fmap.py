@@ -16,9 +16,8 @@ import numpy as np
 
 from . import _blas
 from ._blas import single_threaded
-from .errors import LengthMismatch, RankDeficient
-from .mesh import _vertex_indices
-from .spectral import SpectralBasis, _matrix, _rows
+from .errors import LengthMismatch, RankDeficient, _matrix, _rows, _vertex_indices
+from .spectral import SpectralBasis
 
 # relative eigenvalue threshold below which an unregularized Gram matrix is
 # declared singular
@@ -298,7 +297,7 @@ def _pull_back(pi, values) -> np.ndarray:
     """Pi @ values: shape-1 vertex values pulled back onto shape 2.
 
     The array says which map pi is: 1-D is a hard map, integers checked
-    by `mesh._vertex_indices` against n1 = len(values) (numpy would wrap
+    by `errors._vertex_indices` against n1 = len(values) (numpy would wrap
     a negative one); 2-D is a soft map (n2, n1), rows finite, non-negative
     and summing to 1 within 1e-9. Anything else, a soft map of another
     width or a bad soft row raises LengthMismatch. A soft map's rows are

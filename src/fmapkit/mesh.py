@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from ._lru import LRU
-from .errors import DegenerateMesh, IndexOutOfRange, LengthMismatch, ParseError
+from .errors import DegenerateMesh, ParseError, _matrix, _vertex_indices
 
 # Triangles are rejected when their area falls below this fraction of the
 # squared bounding-box diagonal; keeps cotangents and masses finite.
@@ -53,22 +53,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _vertex_indices(idx, n: int, what: str) -> np.ndarray:
-    """Indices into n vertices as an int64 (m,) array, the one index check.
-
-    Anything but a 1-D integer array (an empty one of any dtype passes)
-    raises LengthMismatch; an index outside [0, n), IndexOutOfRange.
-    """
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise LengthMismatch(f"{what} indices must be (m,) integers, got {idx.dtype} {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexOutOfRange(
-            f"{what} index out of range [0, {n}): min {idx.min()}, max {idx.max()}"
-        )
-    return idx.astype(np.int64, copy=False)
-
-
 class TriMesh:
     """Validated triangle mesh.
 
@@ -81,15 +65,15 @@ class TriMesh:
 
     Raises
     ------
+    LengthMismatch
+        If the vertices are not (n, 3) or the triangles not (m, 3) integers.
     IndexOutOfRange
         If a triangle references a vertex outside [0, n).
-    LengthMismatch
-        If the triangles are not integers.
     DegenerateMesh
-        If there is no triangle, a triangle has repeated vertices, its
-        area is below the degeneracy floor (1e-12 x squared bounding-box
-        diagonal), or a vertex is referenced by no triangle (its lumped
-        mass would be 0).
+        If a coordinate is not finite, there is no triangle, a triangle
+        has repeated vertices, its area is below the degeneracy floor
+        (1e-12 x squared bounding-box diagonal), or a vertex is referenced
+        by no triangle (its lumped mass would be 0).
 
     Notes
     -----
@@ -100,17 +84,12 @@ class TriMesh:
     """
 
     def __init__(self, vertices, triangles):
-        v = np.array(vertices, dtype=np.float64)
-        t = np.array(triangles)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise DegenerateMesh(f"vertices must be (n, 3), got {v.shape}")
+        v = _matrix(vertices, cols=3).copy()
         if not np.isfinite(v).all():
             raise DegenerateMesh("non-finite vertex coordinate")
-        if t.ndim != 2 or t.shape[1] != 3 or not len(t):
+        t = _vertex_indices(triangles, len(v), "triangle", (None, 3)).copy()
+        if not len(t):
             raise DegenerateMesh(f"triangles must be (m, 3) with m >= 1, got {t.shape}")
-        if t.dtype.kind not in "iu":
-            raise LengthMismatch(f"triangle indices must be integers, got {t.dtype} {t.shape}")
-        t = _vertex_indices(t.ravel(), len(v), "triangle").reshape(-1, 3)
         if np.any(t[:, 0] == t[:, 1]) or np.any(t[:, 1] == t[:, 2]) or np.any(t[:, 0] == t[:, 2]):
             raise DegenerateMesh("triangle with repeated vertex index")
         v.flags.writeable = t.flags.writeable = False

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import single_threaded
-from .errors import MissingFeatures
+from .errors import MissingFeatures, _matrix
 from .fmap import DEFAULT_TAU, _soft_apply, loss_properness, properness_project, soft_map
 from .mesh import _fmt
-from .spectral import SpectralBasis, _matrix
+from .spectral import SpectralBasis
 
 # stop when the properness residual, or its change between iterations,
 # drops below this
@@ -28,10 +28,10 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
     """Repeat [soft map -> properness projection] from C0.
 
     mode 'adjoint' builds the soft map between Phi1 and Phi2 C (so the map
-    refines itself); mode 'feature' builds it between the supplied
-    descriptor stacks. That soft map does not depend on C, so feature mode
-    projects once: the next iterate would be the same map with residual
-    0.0, which the trace records without rebuilding it.
+    refines itself); mode 'feature' builds it between the supplied stacks
+    F1 (n1, d) and F2 (n2, d). That soft map does not depend on C, so
+    feature mode projects once: the next iterate would be the same map
+    with residual 0.0, which the trace records without rebuilding it.
 
     Returns (C, trace) where trace[i] = ||C_i - C_{i+1}||_F^2, the
     properness loss between consecutive iterates. Stops early when that
@@ -55,6 +55,7 @@ def refine_proper(C0: np.ndarray, basis1: SpectralBasis, basis2: SpectralBasis,
         raise ValueError(f"iters must be >= 1, got {iters}")
     C = _matrix(C0, basis2.k, basis1.k)
     if mode == "feature":
+        F1, F2 = _matrix(F1, basis1.n), _matrix(F2, basis2.n)
         C_next = properness_project(soft_map(F1, F2, tau), basis1, basis2)
         r = loss_properness(C, C_next)
         return C_next, np.asarray([r] if iters == 1 or r < RESIDUAL_EPS else [r, 0.0])

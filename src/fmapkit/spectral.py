@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._blas import single_threaded
-from .errors import InvalidK, LengthMismatch, SolverFailure
+from .errors import InvalidK, SolverFailure, _matrix, _rows
 from .mesh import TriMesh
 
 # cot of angles is clamped to +-cot(1e-6 rad): slivers below the mesh area
@@ -52,31 +52,6 @@ SPARSE_K_RATIO = 8
 # The shift sits just below the spectrum, relative to a Gershgorin bound on
 # lambda_max, so scaling the mesh scales the shifted problem with it.
 SPARSE_SHIFT = 1e-8
-
-
-def _matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """`a` as a float64 2-D array of `rows` rows and `cols` columns where
-    given, the one 2-D shape check: a descriptor stack (n, d), coefficients
-    (k, d), a functional map (k2, k1), a soft map (n2, n1).
-
-    Any other shape raises LengthMismatch naming the expected shape, with
-    n and d for a size that is not checked.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or rows not in (None, a.shape[0]) or cols not in (None, a.shape[1]):
-        want = f"{'n' if rows is None else rows}, {'d' if cols is None else cols}"
-        raise LengthMismatch(f"expected ({want}) array, got shape {a.shape}")
-    return a
-
-
-def _rows(a, n: int, stack: bool = True) -> np.ndarray:
-    """`a` as a float64 (n,) vector or, with `stack`, an (n, d) stack too;
-    any other shape is LengthMismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim not in ((1, 2) if stack else (1,)) or len(a) != n:
-        want = f"({n},) or ({n}, d)" if stack else f"({n},)"
-        raise LengthMismatch(f"expected {want}, got {a.shape}")
-    return a
 
 
 @dataclass
@@ -143,6 +118,7 @@ class SpectralBasis:
 
     phi is (n, k) with Phi^T M Phi = I; lam is ascending and non-negative;
     mass is the (n,) lumped mass vector behind the pseudo-inverse Phi^T M.
+    Raises LengthMismatch if phi is not 2-D, lam not (k,) or mass not (n,).
     """
 
     lam: np.ndarray
@@ -150,17 +126,9 @@ class SpectralBasis:
     mass: np.ndarray
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=np.float64).ravel()
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        if self.phi.ndim != 2 or self.phi.shape[1] != self.lam.size:
-            raise SolverFailure(
-                f"phi shape {self.phi.shape} inconsistent with {self.lam.size} eigenvalues"
-            )
-        self.mass = np.asarray(self.mass, dtype=np.float64).ravel()
-        if self.mass.size != self.phi.shape[0]:
-            raise SolverFailure(
-                f"mass length {self.mass.size} does not match {self.phi.shape[0]} vertices"
-            )
+        self.phi = _matrix(self.phi)
+        self.lam = _rows(self.lam, self.k, stack=False)
+        self.mass = _rows(self.mass, self.n, stack=False)
 
     @property
     def n(self) -> int:

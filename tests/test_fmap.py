@@ -465,7 +465,7 @@ C_TAKERS = {
     "measure_properness": lambda b1, b2, C: measure_properness(C, b1, b2),
     "measure_basis_aligning": lambda b1, b2, C: measure_basis_aligning(C, b1, b2),
     "build_structure_report": lambda b1, b2, C: build_structure_report(
-        C, b1, b2, b1.phi, b2.phi),
+        C, b1, b2, b1.phi, b1.phi),
     "refine_proper_adjoint": lambda b1, b2, C: refine_proper(C, b1, b2),
     "refine_proper_feature": lambda b1, b2, C: refine_proper(
         C, b1, b2, mode="feature", F1=b1.phi[:, :12], F2=b2.phi),
@@ -484,7 +484,7 @@ def ico162_bases(ico162):
 @pytest.mark.parametrize("shape", [(20, 12), (1, 12, 20)])
 @pytest.mark.parametrize("name", sorted(C_TAKERS))
 def test_a_functional_map_of_another_shape_is_length_mismatch(ico162_bases, name, shape):
-    """One rule for C, spectral._matrix(C, k2, k1): float64 (k2, k1), else
+    """One rule for C, errors._matrix(C, k2, k1): float64 (k2, k1), else
     LengthMismatch, never a numpy ValueError. The losses take the first
     map as any 2-D array, so a 3-D one is named as (n, d)."""
     basis1, basis2 = ico162_bases

@@ -199,28 +199,25 @@ def test_the_check_sees_a_raise_site():
 
 
 def test_index_out_of_range_has_one_raise_site():
-    """mesh._vertex_indices is the one vertex-index check."""
+    """errors._vertex_indices is the one vertex-index check."""
     sources = {p.name: p.read_text() for p in MODULES}
-    assert raise_sites(sources, "IndexOutOfRange") == ["mesh.py: _vertex_indices"]
+    assert raise_sites(sources, "IndexOutOfRange") == ["errors.py: _vertex_indices"]
 
 
 def test_length_mismatch_raise_sites_are_pinned():
-    """Array shapes are checked in spectral, by _matrix (2-D) and _rows
-    ((n,) or (n, d)), and vertex indices by mesh._vertex_indices; a new
-    hand-written shape comparison adds a site here. The others check
-    something a shape cannot say: an empty part list, fewer than two rows,
-    soft-map row values, a prediction and ground truth of different
-    lengths, no errors to aggregate, triangles that are not integers."""
+    """Array shapes are checked in errors, the one home of the array
+    contract: by _matrix (2-D), _rows ((n,) or (n, d)) and _vertex_indices
+    (integer indices); a new hand-written shape comparison adds a site
+    here. The others check values a shape cannot say: an empty part list,
+    fewer than two rows, soft-map row values, no errors to aggregate."""
     sources = {p.name: p.read_text() for p in MODULES}
     assert raise_sites(sources, "LengthMismatch") == [
         "descriptors.py: concat_features",
         "diagnostics.py: nn_distinctness",
-        "evaluate.py: geodesic_error",
+        "errors.py: _matrix",
+        "errors.py: _rows",
+        "errors.py: _vertex_indices",
         "evaluate.py: accuracy_curve",
         "fmap.py: _check_rows",
         "fmap.py: _exp_rows",
-        "mesh.py: _vertex_indices",
-        "mesh.py: __init__",
-        "spectral.py: _matrix",
-        "spectral.py: _rows",
     ]

@@ -38,6 +38,7 @@ from fmapkit.diagnostics import (
     theorem_oracle,
 )
 from fmapkit.errors import InvalidK, LengthMismatch, SolverFailure
+from fmapkit.evaluate import geodesic_error
 from fmapkit.fmap import (
     convert_feature_nn,
     loss_properness,
@@ -167,7 +168,7 @@ class TestEigenbasis:
 
     def test_mass_must_match_vertex_count(self, ico162):
         basis = eigenbasis(build_laplacian(ico162), 5)
-        with pytest.raises(SolverFailure):
+        with pytest.raises(LengthMismatch, match=re.escape("expected (162,), got (161,)")):
             SpectralBasis(basis.lam, basis.phi, basis.mass[:-1])
 
     def test_invalid_k(self, tetra):
@@ -342,13 +343,14 @@ STACK_TAKERS = {
     "energy_terms": lambda b, x: energy_terms(np.arange(162), x, b.phi, b),
     "theorem_oracle": lambda b, x: theorem_oracle(x, b.phi, b, b),
     "build_structure_report": lambda b, x: build_structure_report(np.eye(20), b, b, x, b.phi),
+    "SpectralBasis": lambda b, x: SpectralBasis(b.lam, x, b.mass),
 }
 
 
 @pytest.mark.parametrize("ndim", [1, 3])
 @pytest.mark.parametrize("name", sorted(STACK_TAKERS))
 def test_a_stack_that_is_not_2d_is_length_mismatch(ico162_basis, name, ndim):
-    """One rule for a stack, spectral._matrix: float64 (n, d), else
+    """One rule for a stack, errors._matrix: float64 (n, d), else
     LengthMismatch, never a numpy ValueError or IndexError. concat_features
     checks every part after the first against its row count."""
     basis, f = ico162_basis
@@ -358,8 +360,8 @@ def test_a_stack_that_is_not_2d_is_length_mismatch(ico162_basis, name, ndim):
 
 
 # Every public function that takes two arrays which must agree in width or
-# row count, called with a pair that does not (k = 20, n = 162); the
-# expected shape the check names.
+# row count, or an array of a fixed width, called with a pair or an array
+# that does not (k = 20, n = 162); the expected shape the check names.
 MISMATCHED = {
     "solve_fmap": (lambda b: solve_fmap(b.phi.T, b.phi.T[:, :5], b.lam, b.lam),
                    "(n, 162)"),
@@ -380,17 +382,31 @@ MISMATCHED = {
     "normalize_columns": (lambda b: normalize_columns(b.phi, b.mass[:5]), "(162,)"),
     "reconstruct": (lambda b: b.reconstruct(np.ones(5)), "(20,) or (20, d)"),
     "reconstruct_stack": (lambda b: b.reconstruct(np.ones((5, 3))), "(20,) or (20, d)"),
+    "build_structure_report": (
+        lambda b: build_structure_report(np.eye(20), b, b, b.phi, b.phi[:, :3]), "(n, 20)"),
+    "refine_feature_F1": (lambda b: refine_proper(np.eye(20), b, b, mode="feature",
+                                                  F1=b.phi[:5], F2=b.phi), "(162, d)"),
+    "refine_feature_F2": (lambda b: refine_proper(np.eye(20), b, b, mode="feature",
+                                                  F1=b.phi, F2=b.phi[:-1]), "(162, d)"),
+    "TriMesh_vertices": (lambda b: TriMesh(np.zeros((3, 2)), [[0, 1, 2]]), "(n, 3)"),
+    "TriMesh_triangles": (lambda b: TriMesh(np.eye(3), [[0, 1, 2, 0]]), "(m, 3)"),
+    "TriMesh_float_triangles": (lambda b: TriMesh(np.eye(3), [[0.0, 1.0, 2.0]]), "(m, 3)"),
+    "SpectralBasis_mass": (lambda b: SpectralBasis(b.lam, b.phi, b.mass[:5]), "(162,)"),
+    "SpectralBasis_lam": (lambda b: SpectralBasis(b.lam[:5], b.phi, b.mass), "(20,)"),
+    "geodesic_error": (
+        lambda b: geodesic_error([0, 1], [0, 1, 2], TriMesh(np.eye(3), [[0, 1, 2]])), "(3,)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MISMATCHED))
 def test_arrays_that_do_not_agree_are_length_mismatch(ico162_basis, name):
-    """The second array is checked against the first's size, by
-    spectral._matrix or spectral._rows: LengthMismatch naming the expected
-    shape, never a numpy ValueError or LinAlgError, nor a silent broadcast."""
+    """The second array is checked against the first's size (or a fixed
+    width), by errors._matrix, errors._rows or errors._vertex_indices:
+    LengthMismatch naming the expected shape, never a numpy ValueError or
+    LinAlgError, nor a silent broadcast."""
     basis, _ = ico162_basis
     call, expected = MISMATCHED[name]
-    with pytest.raises(LengthMismatch, match=re.escape(f"expected {expected}")):
+    with pytest.raises(LengthMismatch, match=rf"(expected|indices must be) {re.escape(expected)}"):
         call(basis)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from fmapkit import synth
 from fmapkit.evaluate import geodesic_error
-from fmapkit.fmap import convert_adjoint
+from fmapkit.fmap import convert_adjoint, properness_project
 from fmapkit.refine import refine_proper, write_trace
 from fmapkit.spectral import build_laplacian, eigenbasis
 
@@ -34,10 +34,9 @@ def main(argv=None):
 
     mesh1 = synth.bumpy_sphere(args.subdivisions)
     mesh2, perm = synth.permuted_copy(mesh1, seed=11)
-    lap1, lap2 = build_laplacian(mesh1), build_laplacian(mesh2)
-    basis1 = eigenbasis(lap1, args.k)
-    basis2 = eigenbasis(lap2, args.k)
-    C_gt = basis2.phi.T @ (lap2.mass[:, None] * basis1.phi[perm])
+    basis1 = eigenbasis(build_laplacian(mesh1), args.k)
+    basis2 = eigenbasis(build_laplacian(mesh2), args.k)
+    C_gt = properness_project(perm, basis1, basis2)
 
     noise = np.random.default_rng(args.seed).standard_normal(C_gt.shape)
     C0 = C_gt + args.noise * noise

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllEigenvaluesExcluded, LengthMismatch, _matrix, _rows, _vertex_indices
+from .errors import AllEigenvaluesExcluded, LengthMismatch, _mass, _matrix, _rows, _vertex_indices
 from .mesh import TriMesh
 from .spectral import SpectralBasis, diffuse
 
@@ -57,6 +57,11 @@ def descriptor_hks(basis: SpectralBasis, times) -> np.ndarray:
     return np.einsum("nk,tk->nt", basis.phi ** 2, decay)
 
 
+def _kept(lam: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues WKS uses: > 0 and >= EIG_CUTOFF x lam_max."""
+    return (lam > 0.0) & (lam >= EIG_CUTOFF * (float(lam.max()) if lam.size else 0.0))
+
+
 def default_wks_energies(lam: np.ndarray):
     """DEFAULT_COLUMNS evenly spaced log energies with the usual 7-sigma interior inset.
 
@@ -64,8 +69,7 @@ def default_wks_energies(lam: np.ndarray):
     way descriptor_wks excludes them.
     """
     lam = np.asarray(lam, dtype=np.float64).ravel()
-    lam_max = float(lam.max()) if lam.size else 0.0
-    kept = lam[(lam > 0.0) & (lam >= EIG_CUTOFF * lam_max)]
+    kept = lam[_kept(lam)]
     if kept.size < 2:
         raise AllEigenvaluesExcluded("not enough positive eigenvalues for a WKS grid")
     e_min, e_max = np.log(kept[0]), np.log(kept[-1])
@@ -86,14 +90,11 @@ def descriptor_wks(basis: SpectralBasis, energies, sigma: float) -> np.ndarray:
         raise ValueError("need at least one energy, all finite")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-    lam = basis.lam
-    lam_max = float(lam.max()) if lam.size else 0.0
-    keep = (lam > 0.0) & (lam >= EIG_CUTOFF * lam_max)
+    keep = _kept(basis.lam)
     if not np.any(keep):
         raise AllEigenvaluesExcluded(
-            f"all {lam.size} eigenvalues fall under the {EIG_CUTOFF:g} x lam_max cutoff"
-        )
-    log_lam = np.log(lam[keep])
+            f"all {keep.size} eigenvalues fall under the {EIG_CUTOFF:g} x lam_max cutoff")
+    log_lam = np.log(basis.lam[keep])
     w = np.exp(-((energies[:, None] - log_lam[None, :]) ** 2) / (2.0 * sigma ** 2))
     totals = w.sum(axis=1)
     if np.any(totals <= 0):
@@ -128,7 +129,7 @@ def normalize_columns(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
     Zero columns are left untouched: they carry no information either way.
     """
     values = _matrix(values)
-    mass = _rows(mass, len(values), stack=False)
+    mass = _mass(_rows(mass, len(values), stack=False))
     norms = np.sqrt(np.einsum("n,nd->d", mass, values ** 2))
     return values / np.where(norms == 0, 1.0, norms)
 

@@ -6,7 +6,8 @@ here, in three checks: `_matrix` (float64 2-D), `_rows` (float64 vectors
 or stacks of rows) and `_vertex_indices` (int64 vertex indices). An array
 of the wrong shape, two arrays that must agree in width or row count and
 do not, or indices that are not integers raise LengthMismatch naming the
-expected shape; a vertex index outside the mesh raises IndexOutOfRange.
+expected shape; a vertex index outside the mesh raises IndexOutOfRange,
+and a mass entry that is not finite and > 0 SolverFailure (`_mass`).
 A parameter out of its range raises ValueError, NaN included: tau, sigma
 (finite, > 0), mu, a diffusion time t and HKS times (finite, >= 0), iters
 or the refine mode; empty HKS times or WKS energies, a non-finite energy,
@@ -91,6 +92,13 @@ def _rows(a, n: int, stack: bool = True) -> np.ndarray:
         want = f"({n},) or ({n}, d)" if stack else f"({n},)"
         raise LengthMismatch(f"expected {want}, got {a.shape}")
     return a
+
+
+def _mass(mass: np.ndarray) -> np.ndarray:
+    """`mass` if every entry is finite and > 0, the one mass rule; else SolverFailure."""
+    if not ((mass > 0) & (mass < np.inf)).all():
+        raise SolverFailure("mass vector must be finite and strictly positive")
+    return mass
 
 
 def _vertex_indices(idx, n: int, what: str, shape: tuple = (None,)) -> np.ndarray:

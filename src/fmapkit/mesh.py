@@ -4,12 +4,13 @@ A mesh is vertices (n, 3) float64 plus triangles (m, 3) int64. Construction
 validates index ranges and rejects geometrically degenerate input; everything
 downstream (mass matrices, geodesics) relies on those guarantees.
 
-Meshes are ASCII only: OFF, OBJ, and ASCII PLY, chosen by the file
-extension. Every other numeric file (correspondences, landmark pairs) is one
-headerless text table of indices, read by read_table and written by
-write_table. Parsing is strict and order-preserving, so parse -> serialize
--> parse is an identity, and every malformed file raises ParseError.
-_file_text is the one place a file is read.
+Every file is ASCII text, read by _file_text alone and cut into lines by one
+rule (_meaningful_lines). A mesh is OFF, OBJ or PLY, by the file extension;
+the three differ only in their header: one body (_body) reads their vertex
+and face rows and one writer (_serialize) writes them. Every other numeric
+file (correspondences, landmark pairs) is one headerless table of indices
+(read_table, write_table). Parsing is strict and order-preserving, so parse
+-> serialize -> parse is an identity; a malformed file raises ParseError.
 
 load_mesh keeps the MESH_CACHE_SIZE most recently loaded meshes of the
 process, keyed on the format and the text read, so a file loaded again
@@ -260,10 +261,10 @@ def _mapped_table(rows: int, cols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _meaningful_lines(text: str):
-    """Yield (lineno, line) skipping blanks and '#' comment lines."""
+    """Yield (lineno, line) skipping blanks and '#' comments: every text file's line rule."""
+    cut = "#" in text  # most texts hold none, and then no line pays for the cut
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if line:
+        if line := (raw.partition("#")[0] if cut else raw).strip():
             yield no, line
 
 
@@ -341,40 +342,30 @@ def write_table(a, path) -> None:
     Path(path).write_text("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n")
 
 
-def _triangles(lines, path) -> np.ndarray:
-    """(m, 3) indices from '3 i j k' face lines (OFF and PLY)."""
-    faces = _table(lines, path, int, 4)
-    bad = np.nonzero(faces[:, 0] != 3)[0]
+def _body(lines, n: int, m: int, path, first: int = 0) -> TriMesh:
+    """The mesh of n vertex rows `x y z`, then m face rows `3 i j k` (OBJ's `i j k` counted
+    from `first` = 1), from the (lineno, line) pairs after a header; later rows are ignored."""
+    if len(lines) < n + m:
+        raise ParseError(f"{path}: expected {n} vertices and {m} faces, got {len(lines)} rows")
+    v, t = _table(lines[:n], path, float, 3), _table(lines[n:n + m], path, int, 4 - first)
+    bad = np.nonzero((t < 1).any(axis=1) if first else t[:, 0] != 3)[0]
     if bad.size:
-        no, line = lines[bad[0]]
-        raise ParseError(f"{path}:{no}: face line must be '3 i j k', got {line!r}")
-    return faces[:, 1:].copy()
+        no, line = lines[n + bad[0]]
+        rule = "OBJ indices are 1-based" if first else "face line must be '3 i j k'"
+        raise ParseError(f"{path}:{no}: {rule}, got {line!r}")
+    del lines  # free the line list before TriMesh validation allocates
+    return TriMesh(v, t - 1 if first else t[:, 1:])
 
 
 def _parse_off(text: str, path) -> TriMesh:
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    no, header = lines[0]
-    if header != "OFF":
-        raise ParseError(f"{path}:{no}: expected 'OFF' header, got {header!r}")
-    if len(lines) < 2:
-        raise ParseError(f"{path}: missing count line")
-    n, m, _ = _table(lines[1:2], path, int, 3)[0].tolist()
-    if len(lines) - 2 < n + m:
-        raise ParseError(
-            f"{path}: expected {n} vertices and {m} faces, file has {len(lines) - 2} lines"
-        )
-    v, t = _table(lines[2:2 + n], path, float, 3), _triangles(lines[2 + n:2 + n + m], path)
-    del lines  # free the line list before TriMesh validation allocates
-    return TriMesh(v, t)
-
-
-def _serialize_off(mesh: TriMesh) -> str:
-    out = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
-    out += [" ".join(_fmt(c) for c in v) for v in mesh.vertices]
-    out += ["3 {} {} {}".format(*t) for t in mesh.triangles]
-    return "\n".join(out) + "\n"
+    lines = _meaningful_lines(text)
+    head = list(islice(lines, 2))  # the 'OFF' line and the 'n m e' count line
+    if head and head[0][1] != "OFF":
+        raise ParseError(f"{path}:{head[0][0]}: expected 'OFF' header, got {head[0][1]!r}")
+    if len(head) < 2:
+        raise ParseError(f"{path}: {'missing count line' if head else 'empty file'}")
+    n, m, _ = _table(head[1:], path, int, 3)[0].tolist()
+    return _body(list(lines), n, m, path)
 
 
 def _parse_obj(text: str, path) -> TriMesh:
@@ -383,89 +374,62 @@ def _parse_obj(text: str, path) -> TriMesh:
         toks = line.split()
         if toks[0] == "v":
             verts.append((no, line[1:]))
-        elif toks[0] == "f":
-            faces.append((no, " ".join(t.split("/", 1)[0] for t in toks[1:])))
+        elif toks[0] == "f":  # an `i/t/n` token keeps its vertex index
+            toks = [t.split("/", 1)[0] for t in toks[1:]] if "/" in line else toks[1:]
+            faces.append((no, " ".join(toks)))
         # vn/vt/o/g/s/usemtl/mtllib lines carry no geometry here
     if not verts:
         raise ParseError(f"{path}: no vertices found")
-    tris = _table(faces, path, int, 3)
-    bad = np.nonzero((tris < 1).any(axis=1))[0]
-    if bad.size:
-        no, line = faces[bad[0]]
-        raise ParseError(f"{path}:{no}: OBJ indices are 1-based, got {line!r}")
-    return TriMesh(_table(verts, path, float, 3), tris - 1)
-
-
-def _serialize_obj(mesh: TriMesh) -> str:
-    out = [" ".join(["v"] + [_fmt(c) for c in v]) for v in mesh.vertices]
-    out += ["f {} {} {}".format(*(t + 1)) for t in mesh.triangles]
-    return "\n".join(out) + "\n"
+    return _body(verts + faces, len(verts), len(faces), path, first=1)
 
 
 def _parse_ply(text: str, path) -> TriMesh:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = _meaningful_lines(text)
+    if next(lines, (0, None))[1] != "ply":
         raise ParseError(f"{path}: not a PLY file (missing 'ply' magic)")
-    counts: dict[str, int] = {}
-    vertex_props: list[str] = []
-    current = None
-    body_start = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("comment"):
-            continue
+    counts, props, current = {}, [], None  # props: the vertex element's
+    for no, line in lines:
         toks = line.split()
-        if toks[0] == "format":
-            if len(toks) < 2 or toks[1] != "ascii":
-                raise ParseError(f"{path}:{lineno}: binary PLY is not supported, ASCII only")
+        if toks[0] == "format" and toks[1:2] != ["ascii"]:
+            raise ParseError(f"{path}:{no}: binary PLY is not supported, ASCII only")
         elif toks[0] == "element":
             if len(toks) != 3:
-                raise ParseError(f"{path}:{lineno}: bad element line {line!r}")
+                raise ParseError(f"{path}:{no}: bad element line {line!r}")
             current = toks[1]
             if current not in ("vertex", "face"):
-                raise ParseError(f"{path}:{lineno}: unsupported element {current!r}")
-            counts[current] = int(_numbers(toks[2:], int, f"{path}:{lineno}")[0])
-        elif toks[0] == "property":
-            if current == "vertex":
-                vertex_props.append(toks[-1])
+                raise ParseError(f"{path}:{no}: unsupported element {current!r}")
+            counts[current] = int(_numbers(toks[2:], int, f"{path}:{no}")[0])
+        elif toks[0] == "property" and current == "vertex":
+            props.append(toks[-1])
         elif toks[0] == "end_header":
-            body_start = lineno
-            break
-        else:
-            raise ParseError(f"{path}:{lineno}: unexpected header line {line!r}")
-    if body_start is None or len(counts) != 2:
-        raise ParseError(f"{path}: incomplete PLY header")
-    if vertex_props != ["x", "y", "z"]:
-        raise ParseError(
-            f"{path}: vertex properties must be exactly x y z, got {vertex_props}"
-        )
-    n, m = counts["vertex"], counts["face"]
-    body = [(no, ln.strip()) for no, ln in enumerate(lines[body_start:], start=body_start + 1)
-            if ln.strip()]
-    if len(body) < n + m:
-        raise ParseError(f"{path}: expected {n + m} body lines, got {len(body)}")
-    return TriMesh(_table(body[:n], path, float, 3), _triangles(body[n:n + m], path))
+            if len(counts) != 2:
+                break
+            if props != ["x", "y", "z"]:
+                raise ParseError(f"{path}: vertex properties must be exactly x y z, got {props}")
+            return _body(list(lines), counts["vertex"], counts["face"], path)
+        elif toks[0] not in ("format", "property") and not line.startswith("comment"):
+            raise ParseError(f"{path}:{no}: unexpected header line {line!r}")
+    raise ParseError(f"{path}: incomplete PLY header")
 
 
-def _serialize_ply(mesh: TriMesh) -> str:
-    out = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {mesh.n_vertices}",
-        "property float x",
-        "property float y",
-        "property float z",
-        f"element face {mesh.n_triangles}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    out += [" ".join(_fmt(c) for c in v) for v in mesh.vertices]
-    out += ["3 {} {} {}".format(*t) for t in mesh.triangles]
-    return "\n".join(out) + "\n"
+# Per format: the header above n vertex and m face rows, each row's prefix, the first index.
+_LAYOUTS = {
+    "off": ("OFF\n{n} {m} 0\n", "", "3 ", 0),
+    "obj": ("", "v ", "f ", 1),
+    "ply": ("ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+            "property float y\nproperty float z\nelement face {m}\n"
+            "property list uchar int vertex_indices\nend_header\n", "", "3 ", 0),
+}
+
+
+def _serialize(mesh: TriMesh, fmt: str) -> str:
+    header, v, f, first = _LAYOUTS[fmt]
+    out = [v + " ".join(map(_fmt, p)) for p in mesh.vertices.tolist()]
+    out += [f + "{} {} {}".format(*t) for t in (mesh.triangles + first).tolist()]
+    return header.format(n=mesh.n_vertices, m=mesh.n_triangles) + "\n".join(out) + "\n"
 
 
 _PARSERS = {"off": _parse_off, "obj": _parse_obj, "ply": _parse_ply}
-_SERIALIZERS = {"off": _serialize_off, "obj": _serialize_obj, "ply": _serialize_ply}
 
 
 def _format(path: Path) -> str:
@@ -494,7 +458,7 @@ def load_mesh(path) -> TriMesh:
 
 def save_mesh(mesh: TriMesh, path) -> None:
     path = Path(path)
-    path.write_text(_SERIALIZERS[_format(path)](mesh))
+    path.write_text(_serialize(mesh, _format(path)))
 
 
 def load_correspondence(path) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from ._blas import single_threaded
-from .errors import InvalidK, SolverFailure, _matrix, _rows
+from .errors import InvalidK, SolverFailure, _mass, _matrix, _rows
 from .mesh import TriMesh
 
 # cot of angles is clamped to +-cot(1e-6 rad): slivers below the mesh area
@@ -67,8 +67,7 @@ class LaplacianPair:
             raise SolverFailure(
                 f"W shape {self.W.shape} does not match mass length {self.mass.size}"
             )
-        if np.any(self.mass <= 0):
-            raise SolverFailure("mass vector must be strictly positive")
+        _mass(self.mass)
 
     @property
     def n(self) -> int:
@@ -118,7 +117,8 @@ class SpectralBasis:
 
     phi is (n, k) with Phi^T M Phi = I; lam is ascending and non-negative;
     mass is the (n,) lumped mass vector behind the pseudo-inverse Phi^T M.
-    Raises LengthMismatch if phi is not 2-D, lam not (k,) or mass not (n,).
+    Raises LengthMismatch if phi is not 2-D, lam not (k,) or mass not (n,),
+    and SolverFailure if a mass entry is not finite and > 0.
     """
 
     lam: np.ndarray
@@ -128,7 +128,7 @@ class SpectralBasis:
     def __post_init__(self):
         self.phi = _matrix(self.phi)
         self.lam = _rows(self.lam, self.k, stack=False)
-        self.mass = _rows(self.mass, self.n, stack=False)
+        self.mass = _mass(_rows(self.mass, self.n, stack=False))
 
     @property
     def n(self) -> int:

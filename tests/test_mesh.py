@@ -61,10 +61,26 @@ READERS = {
     "ply": ("ply", load_mesh),
 }
 
+# an ASCII PLY header for n vertices (x y z) and m triangles
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+              "property float y\nproperty float z\nelement face {m}\n"
+              "property list uchar int vertex_indices\nend_header\n")
+
 # near-valid starts, so the fuzz also reaches the code past each header (a
-# tag line such as "FMAP " opening a headerless table is rejected as a bad row)
-FUZZ_PREFIXES = ["", "FMAP ", "FEAT ", "SPECBASIS ", "OFF\n", "v ", "f ",
-                 "ply\nformat ascii 1.0\nelement vertex "]
+# tag line such as "FMAP " opening a headerless table is rejected as a bad
+# row); the complete OFF and PLY headers reach the mesh body
+FUZZ_PREFIXES = ["", "FMAP ", "FEAT ", "SPECBASIS ", "OFF\n", "OFF\n3 1 0\n", "v ", "f ",
+                 "ply\nformat ascii 1.0\nelement vertex ", PLY_HEADER.format(n=3, m=1)]
+
+# a regular tetrahedron's rows, with '#' comments and blank lines among them
+TETRA_VERTICES = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.8660254037844386, 0.0],
+                  [0.5, 0.28867513459481287, 0.816496580927726]]
+TETRA_FACES = [[0, 1, 2], [0, 1, 3], [1, 2, 3], [2, 0, 3]]
+COMMENTED_TETRA = {
+    "off": "# made by hand\n\nOFF # magic\n# counts next\n\n4 4 0\n",
+    "obj": "# made by hand\n\n",
+    "ply": "# made by hand\n\n" + PLY_HEADER.format(n=4, m=4).replace("\n", " # header\n\n", 3),
+}
 
 
 class TestTriMeshValidation:
@@ -304,17 +320,19 @@ class TestMeshIO:
         save_mesh(load_mesh(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_off_with_comments_and_blanks(self, tmp_path):
-        text = (
-            "OFF\n# a comment\n\n4 4 0\n"
-            "0.0 0.0 0.0\n1.0 0.0 0.0\n0.5 0.8660254037844386 0.0\n"
-            "0.5 0.28867513459481287 0.816496580927726\n"
-            "3 0 1 2\n3 0 1 3\n3 1 2 3\n3 2 0 3\n"
-        )
-        path = tmp_path / "m.off"
-        path.write_text(text)
+    @pytest.mark.parametrize("ext", ["off", "obj", "ply"])
+    def test_comments_and_blanks(self, tmp_path, ext):
+        """Every format reads its lines by one rule: '#' comments and blank
+        lines are skipped in the header and the body alike."""
+        v, f, first = ("v ", "f ", 1) if ext == "obj" else ("", "3 ", 0)
+        rows = [v + " ".join(map(repr, p)) for p in TETRA_VERTICES]
+        rows += [f + " ".join(str(i + first) for i in t) for t in TETRA_FACES]
+        body = "".join(f"{row} # row {i}\n\n# between rows\n" for i, row in enumerate(rows))
+        path = tmp_path / f"m.{ext}"
+        path.write_text(COMMENTED_TETRA[ext] + body)
         mesh = load_mesh(path)
-        assert mesh.n_vertices == 4 and mesh.n_triangles == 4
+        assert np.array_equal(mesh.vertices, TETRA_VERTICES)
+        assert np.array_equal(mesh.triangles, TETRA_FACES)
 
     def test_obj_one_based_and_slash_tokens(self, tmp_path):
         text = (
@@ -326,6 +344,9 @@ class TestMeshIO:
         path.write_text(text)
         mesh = load_mesh(path)
         assert np.array_equal(mesh.triangles, [[0, 1, 2]])
+        path.write_text(text.replace("f 1/1/1", "f 0/1/1"))   # index 0 is before the first
+        with pytest.raises(ParseError, match=r"m\.obj:5: OBJ indices are 1-based"):
+            load_mesh(path)
 
     def test_ply_ascii_parses(self, tmp_path):
         text = (
@@ -350,10 +371,15 @@ class TestMeshIO:
         with pytest.raises(ParseError):
             load_mesh(path)
 
-    def test_off_wrong_count_rejected(self, tmp_path):
-        path = tmp_path / "m.off"
-        path.write_text("OFF\n5 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("ext", ["off", "ply"])
+    def test_wrong_count_rejected(self, tmp_path, ext):
+        """OFF and PLY state their counts in the header; too few rows is one
+        message naming the file, n and m."""
+        head = "OFF\n5 1 0\n" if ext == "off" else PLY_HEADER.format(n=5, m=1)
+        path = tmp_path / f"m.{ext}"
+        path.write_text(head + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        message = f"{path}: expected 5 vertices and 1 faces, got 4 rows"
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_mesh(path)
 
     def test_missing_file(self, tmp_path):

@@ -8,6 +8,7 @@ edge weight 0 on a square split along its diagonal, -1 on a kite whose
 opposite angles are 45 degrees).
 """
 
+import itertools
 import re
 import tracemalloc
 
@@ -101,10 +102,16 @@ class TestAssembly:
         assert lap.mass.sum() == pytest.approx(tetra.total_area(), rel=1e-14)
 
     def test_pair_validation(self):
+        """One mass rule, errors._mass: every entry finite and > 0, in a
+        Laplacian pair, a basis and the column normalization alike."""
         with pytest.raises(SolverFailure):
             LaplacianPair(sparse.eye(3, format="csr"), np.array([1.0, 1.0]))
-        with pytest.raises(SolverFailure):
-            LaplacianPair(sparse.eye(3, format="csr"), np.array([1.0, 0.0, 1.0]))
+        takers = [lambda mass: LaplacianPair(sparse.eye(3, format="csr"), mass),
+                  lambda mass: SpectralBasis(np.zeros(2), np.ones((3, 2)), mass),
+                  lambda mass: normalize_columns(np.ones((3, 2)), mass)]
+        for bad, take in itertools.product([0.0, -1.0, np.nan, np.inf], takers):
+            with pytest.raises(SolverFailure, match="finite and strictly positive"):
+                take(np.array([1.0, bad, 1.0]))
 
 
 class TestEigenbasis:

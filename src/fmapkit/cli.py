@@ -1,8 +1,9 @@
 """Command-line interface: match, eval, diagnose.
 
-An option left out takes its default from MatchConfig or DiagnoseConfig, and
-`--help` shows it. The parser is built on the first main() call and reused
-by every later one in the process.
+Each flag is one field of MatchConfig, DiagnoseConfig or _EvalFlags, and the
+parser is generated from those fields: a field with no default is a required
+flag, and an option left out takes its field's default, which `--help` shows.
+The parser is built on the first main() call and reused by every later one.
 
 A caller that runs commands in one process against a recurring shape
 prepares it once. Every command loads meshes through mesh.load_mesh, which
@@ -29,7 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,36 +59,70 @@ REFINE_CHOICES = ("none", "proper-adjoint", "proper-feature")
 CONVERT_CHOICES = ("adjoint", "nn")
 
 
+def _checked(kind, ok, bound):
+    """argparse type: `kind` of the text, which must pass `ok` (else exit 2)."""
+    def parse(text):
+        if not ok(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names the type in its errors
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "> 0")
+_NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_NONNEG = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+
+
+def _flag(help, default=MISSING, **argparse_kw):
+    """A config field that is also a flag: its help, argparse `type` and `choices` ride along."""
+    return field(default=default, metadata={"help": help, **argparse_kw})
+
+
 @dataclass(kw_only=True)
 class _PairConfig:
-    """Fields of the flags `match` and `diagnose` share; `desc` differs in default."""
+    """The flags `match` and `diagnose` share; DiagnoseConfig re-declares `desc`."""
 
-    src: str
-    dst: str
-    k: int = 30
-    smooth_j: int = 128
-    smooth_t: float = 0.0
-    mu: float = DEFAULT_MU
+    src: str = _flag("source mesh (the map points INTO it)")
+    dst: str = _flag("target mesh (one map entry per vertex)")
+    k: int = _flag("spectral basis size", 30, type=_POSITIVE_INT)
+    desc: str = _flag("descriptor family", "hks", choices=DESC_CHOICES)
+    smooth_j: int = _flag("smoothing basis size (clamped to the vertex count)", 128,
+                          type=_POSITIVE_INT)
+    smooth_t: float = _flag("smoothing diffusion time", 0.0, type=_NONNEG)
+    mu: float = _flag("commutativity regularizer weight", DEFAULT_MU, type=_NONNEG)
 
 
 @dataclass(kw_only=True)
 class MatchConfig(_PairConfig):
-    out: str
-    desc: str = "hks"
-    refine: str = "none"
-    refine_iters: int = 10
-    tau: float = DEFAULT_TAU
-    convert: str = "adjoint"
-    landmarks: str | None = None
-    landmark_t: float = 0.1
+    out: str = _flag("output correspondence file")
+    refine: str = _flag("properness refinement", "none", choices=REFINE_CHOICES)
+    refine_iters: int = _flag("refinement iterations", 10, type=_POSITIVE_INT)
+    tau: float = _flag("soft map temperature", DEFAULT_TAU, type=_POSITIVE)
+    convert: str = _flag("pointwise map from C's adjoint or from descriptor nearest neighbours",
+                         "adjoint", choices=CONVERT_CHOICES)
+    landmarks: str | None = _flag("file of 'i j' landmark pairs (src dst)", None)
+    landmark_t: float = _flag("landmark diffusion time", 0.1, type=_NONNEG)
 
 
 @dataclass(kw_only=True)
 class DiagnoseConfig(_PairConfig):
-    out: str | None = None
-    desc: str = "stack"
-    noise: float = 0.0
-    seed: int = 0
+    desc: str = _flag("descriptor family", "stack", choices=DESC_CHOICES)
+    out: str | None = _flag("also write the printed text to this file", None)
+    noise: float = _flag("relative gaussian noise injected into the target stack", 0.0,
+                         type=_NONNEG)
+    seed: int = _flag("seed of the noise and the oracle's probe maps", 0, type=_NONNEG_INT)
+
+
+@dataclass(kw_only=True)
+class _EvalFlags:
+    """`eval`'s flags, declared only: main passes them to run_eval as arguments."""
+
+    pred: str = _flag(None)
+    gt: str = _flag(None)
+    mesh: str = _flag("the mesh both correspondences index into")
+    out: str = _flag("output CSV")
 
 
 def load_landmark_pairs(path):
@@ -187,34 +222,12 @@ def run_diagnose(cfg: DiagnoseConfig):
     return verdict, report, text
 
 
-def _checked(kind, ok, bound):
-    """argparse type: `kind` of the text, which must pass `ok` (else exit 2)."""
-    def parse(text):
-        if not ok(value := kind(text)):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__   # argparse names the type in its errors
-    return parse
-
-
-_POSITIVE_INT = _checked(int, lambda v: v > 0, "> 0")
-_NONNEG_INT = _checked(int, lambda v: v >= 0, ">= 0")
-_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
-_NONNEG = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
-
-
-def _help_with_defaults(config) -> type[argparse.HelpFormatter]:
-    """A help formatter that appends each flag's default, read from `config`."""
-    defaults = {f.name: f.default for f in fields(config)
-                if f.default is not MISSING and f.default is not None}
-
-    class Formatter(argparse.HelpFormatter):
-        def _get_help_string(self, action):
-            if action.dest not in defaults:
-                return action.help
-            return f"{action.help} (default: {defaults[action.dest]})"
-
-    return Formatter
+# command -> (the dataclass whose fields are its flags, its line in `fmapkit --help`)
+_COMMANDS = {
+    "match": (MatchConfig, "estimate a correspondence between two meshes"),
+    "eval": (_EvalFlags, "geodesic-error evaluation of a correspondence"),
+    "diagnose": (DiagnoseConfig, "exactness oracle + structure report"),
+}
 
 
 @functools.cache
@@ -223,49 +236,18 @@ def _build_parser() -> argparse.ArgumentParser:
     # keeps no state between calls. No flag has a default of its own: an
     # absent flag is absent from the namespace, so the config's field
     # default applies (and --help shows it).
-    no_defaults = {"argument_default": argparse.SUPPRESS}
-    shared = argparse.ArgumentParser(add_help=False, **no_defaults)
-    shared.add_argument("--src", required=True, help="source mesh (the map points INTO it)")
-    shared.add_argument("--dst", required=True, help="target mesh (one map entry per vertex)")
-    shared.add_argument("--k", type=_POSITIVE_INT, help="spectral basis size")
-    shared.add_argument("--desc", choices=DESC_CHOICES, help="descriptor family")
-    shared.add_argument("--smooth-j", type=_POSITIVE_INT,
-                        help="smoothing basis size (clamped to the vertex count)")
-    shared.add_argument("--smooth-t", type=_NONNEG, help="smoothing diffusion time")
-    shared.add_argument("--mu", type=_NONNEG, help="commutativity regularizer weight")
-
     parser = argparse.ArgumentParser(
         prog="fmapkit",
         description="Spectral functional-map shape correspondence toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    m = sub.add_parser("match", parents=[shared], **no_defaults,
-                       formatter_class=_help_with_defaults(MatchConfig),
-                       help="estimate a correspondence between two meshes")
-    m.add_argument("--out", required=True, help="output correspondence file")
-    m.add_argument("--refine", choices=REFINE_CHOICES, help="properness refinement")
-    m.add_argument("--refine-iters", type=_POSITIVE_INT, help="refinement iterations")
-    m.add_argument("--tau", type=_POSITIVE, help="soft map temperature")
-    m.add_argument("--convert", choices=CONVERT_CHOICES,
-                   help="pointwise map from C's adjoint or from descriptor nearest neighbours")
-    m.add_argument("--landmarks", help="file of 'i j' landmark pairs (src dst)")
-    m.add_argument("--landmark-t", type=_NONNEG, help="landmark diffusion time")
-
-    e = sub.add_parser("eval", help="geodesic-error evaluation of a correspondence")
-    e.add_argument("--pred", required=True)
-    e.add_argument("--gt", required=True)
-    e.add_argument("--mesh", required=True,
-                   help="the mesh both correspondences index into")
-    e.add_argument("--out", required=True, help="output CSV")
-
-    d = sub.add_parser("diagnose", parents=[shared], **no_defaults,
-                       formatter_class=_help_with_defaults(DiagnoseConfig),
-                       help="exactness oracle + structure report")
-    d.add_argument("--out", help="also write the printed text to this file")
-    d.add_argument("--noise", type=_NONNEG,
-                   help="relative gaussian noise injected into the target stack")
-    d.add_argument("--seed", type=_NONNEG_INT, help="seed of the noise and the oracle's probe maps")
+    for command, (config, line) in _COMMANDS.items():
+        p = sub.add_parser(command, argument_default=argparse.SUPPRESS, help=line)
+        for f in fields(config):
+            kw = dict(f.metadata, required=f.default is MISSING)
+            if f.default is not MISSING and f.default is not None:
+                kw["help"] += f" (default: {f.default})"
+            p.add_argument("--" + f.name.replace("_", "-"), **kw)
     return parser
 
 

@@ -57,12 +57,15 @@ def solve_fmap(A1: np.ndarray, A2: np.ndarray,
 
     With mu = 0 the eigenvalues are not needed, but A1 must have full row
     rank: a Gram matrix singular beyond a 1e-10 relative eigenvalue
-    threshold raises RankDeficient. mu must be finite and >= 0.
+    threshold raises RankDeficient. mu must be finite and >= 0. A non-finite
+    entry of A1 or A2 raises RankDeficient at any mu.
     """
     A1 = _matrix(A1)
     A2 = _matrix(A2, cols=A1.shape[1])
     if not 0 <= mu < np.inf:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    if not (np.isfinite(A1).all() and np.isfinite(A2).all()):
+        raise RankDeficient("A1 and A2 must be finite")
     k1 = A1.shape[0]
     gram = A1 @ A1.T
     rhs = A2 @ A1.T                                   # (k2, k1)

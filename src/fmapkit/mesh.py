@@ -398,6 +398,8 @@ def _parse_ply(text: str, path) -> TriMesh:
             current = toks[1]
             if current not in ("vertex", "face"):
                 raise ParseError(f"{path}:{no}: unsupported element {current!r}")
+            if [*counts, current] != ["vertex", "face"][:len(counts) + 1]:
+                raise ParseError(f"{path}:{no}: elements must be 'vertex' then 'face', each once")
             counts[current] = int(_numbers(toks[2:], int, f"{path}:{no}")[0])
         elif toks[0] == "property" and current == "vertex":
             props.append(toks[-1])

@@ -736,13 +736,19 @@ class TestOneParser:
 
 
 class TestOneDeclaration:
-    """Each option is declared once: as a flag, and as a config field with its default."""
+    """Each option is declared once, as a config field holding its default and
+    help; the parser is generated from those fields."""
 
     @pytest.mark.parametrize("command, config", [("match", MatchConfig),
+                                                 ("eval", cli._EvalFlags),
                                                  ("diagnose", DiagnoseConfig)])
     def test_flags_are_the_config_fields(self, command, config):
-        dests = {a.dest for a in subparser(command)._actions} - {"help"}
-        assert dests == {f.name for f in fields(config)}
+        """The flags are the fields, in field order; a flag is required exactly
+        when its field has no default."""
+        actions = {a.dest: a for a in subparser(command)._actions if a.dest != "help"}
+        assert list(actions) == [f.name for f in fields(config)]
+        for f in fields(config):
+            assert actions[f.name].required == (f.default is MISSING), f.name
 
     @pytest.mark.parametrize("command, runner, config", [
         ("match", "run_match", MatchConfig(src="a", dst="b", out="c")),

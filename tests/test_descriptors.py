@@ -122,6 +122,11 @@ class TestWKS:
         with pytest.raises(ValueError):
             descriptor_wks(basis, [], 1.0)
 
+    def test_energy_with_no_spectral_support_raises(self, basis162):
+        _, basis = basis162
+        with pytest.raises(ValueError, match="no spectral support"):
+            descriptor_wks(basis, [1e3], 1e-3)
+
     def test_default_energy_grid(self, basis162):
         _, basis = basis162
         energies, sigma = default_wks_energies(basis.lam)

@@ -138,6 +138,7 @@ class TestRankAndDistinctness:
         F = np.ones((20, 4))  # rank 1
         A = np.zeros((3, 4))
         assert rank_report(F, A) == (1, 0)
+        assert rank_report(np.zeros_like(F), A) == (0, 0)
 
     def test_nn_distinctness_manual(self):
         F = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])

@@ -69,6 +69,22 @@ class TestSolve:
         with pytest.raises(RankDeficient):
             solve_fmap(A1, A2, mu=0.0)
 
+    def test_zero_system_is_rank_deficient_at_positive_mu(self):
+        with pytest.raises(RankDeficient, match="singular"):
+            solve_fmap(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros(3), np.zeros(3), mu=1e-3)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("stack", [0, 1])
+    def test_non_finite_stack_is_rank_deficient(self, stack, value, mu):
+        """Checked before either branch: at mu = 0 a NaN in A1 escaped as
+        LinAlgError, and elsewhere the map came back NaN."""
+        rng = np.random.default_rng(2)
+        A = [rng.standard_normal((4, 12)), rng.standard_normal((4, 12))]
+        A[stack][1, 5] = value
+        with pytest.raises(RankDeficient, match="must be finite"):
+            solve_fmap(*A, np.arange(4.0), np.arange(4.0), mu=mu)
+
     def test_square_identity_recovery(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((6, 6))
@@ -110,6 +126,10 @@ class TestNearestRows:
         queries = rng.standard_normal((300, 5))
         assert np.array_equal(nearest_rows(queries, points),
                               orc.brute_nn(queries, points))
+
+    def test_no_points_raises(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            nearest_rows(np.ones((2, 3)), np.ones((0, 3)))
 
     def test_tie_takes_first_index(self):
         points = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -66,6 +66,31 @@ PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
               "property float y\nproperty float z\nelement face {m}\n"
               "property list uchar int vertex_indices\nend_header\n")
 
+# malformed ASCII PLY files (3 vertices, 1 face) and the error, after the path, naming each
+PLY_VERTEX = "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+PLY_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+PLY_START, PLY_BODY = "ply\nformat ascii 1.0\n", "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+PLY_3_1 = PLY_HEADER.format(n=3, m=1)
+PLY_ORDER = "elements must be 'vertex' then 'face', each once"
+BAD_PLY = {
+    "binary": (PLY_3_1.replace("ascii", "binary_little_endian") + PLY_BODY,
+               ":2: binary PLY is not supported"),
+    "bad_element_line": (PLY_3_1.replace("face 1", "face") + PLY_BODY, ":7: bad element line"),
+    "unsupported_element": (PLY_3_1.replace("end_header", "element edge 0\nend_header")
+                            + PLY_BODY, ":9: unsupported element 'edge'"),
+    "one_element": (PLY_START + PLY_VERTEX + "end_header\n" + PLY_BODY,
+                    ": incomplete PLY header"),
+    "properties": (PLY_3_1.replace("float z", "float w") + PLY_BODY,
+                   ": vertex properties must be exactly x y z, got ['x', 'y', 'w']"),
+    "no_end_header": (PLY_3_1.replace("end_header\n", ""), ": incomplete PLY header"),
+    "face_first": (PLY_START + PLY_FACE + PLY_VERTEX + "end_header\n3 0 1 2\n0 0 0\n"
+                   "1 0 0\n0 1 0\n", ":3: " + PLY_ORDER),
+    "body_against_header": (PLY_START + PLY_FACE + PLY_VERTEX + "end_header\n" + PLY_BODY,
+                            ":3: " + PLY_ORDER),
+    "repeated_vertex": (PLY_START + "element vertex 5\n" + PLY_VERTEX + PLY_FACE
+                        + "end_header\n" + PLY_BODY, ":4: " + PLY_ORDER),
+}
+
 # near-valid starts, so the fuzz also reaches the code past each header (a
 # tag line such as "FMAP " opening a headerless table is rejected as a bad
 # row); the complete OFF and PLY headers reach the mesh body
@@ -360,15 +385,15 @@ class TestMeshIO:
         mesh = load_mesh(path)
         assert mesh.n_vertices == 3 and mesh.n_triangles == 1
 
-    def test_ply_binary_rejected(self, tmp_path):
-        text = (
-            "ply\nformat binary_little_endian 1.0\n"
-            "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
-            "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-        )
+    @pytest.mark.parametrize("name", sorted(BAD_PLY))
+    def test_ply_header_rejected(self, tmp_path, name):
+        """Each header fault is a ParseError naming the file and, where one
+        line is at fault, that line. The header must declare `vertex`, then
+        `face`, each once, whatever order the body's rows are in."""
+        text, message = BAD_PLY[name]
         path = tmp_path / "m.ply"
         path.write_text(text)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(f"{path}{message}")):
             load_mesh(path)
 
     @pytest.mark.parametrize("ext", ["off", "ply"])
